@@ -90,6 +90,7 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
         batch_ = {end, chunk, &fn};
         cursor_.store(begin, std::memory_order_relaxed);
         ++generation_;
+        batchOpen_ = true;
         b = batch_;
     }
     // Wake only as many workers as there are chunks; a small dispatch
@@ -101,10 +102,14 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
 
     drainBatch(b);
 
-    // Wait only for workers actually inside this batch (they register
-    // in activeDrainers_ under the lock before touching the cursor);
-    // late wakers find the cursor exhausted and do nothing.
+    // Close the batch, then wait only for workers actually inside it
+    // (they register in activeDrainers_ under the lock before touching
+    // the cursor). A worker that wakes after the close skips this
+    // generation: `fn` lives on this caller's stack, and the next
+    // dispatch resets the shared cursor, so a late joiner would run
+    // the next batch's indices through a dead function.
     std::unique_lock<std::mutex> lk(mtx_);
+    batchOpen_ = false;
     cvDone_.wait(lk, [this] { return activeDrainers_ == 0; });
 }
 
@@ -134,6 +139,8 @@ ThreadPool::workerLoop()
             if (stop_)
                 return;
             seen_generation = generation_;
+            if (!batchOpen_)
+                continue;
             b = batch_;
             ++activeDrainers_;
         }

@@ -88,6 +88,7 @@ class ThreadPool
     std::atomic<std::size_t> cursor_{0};
     std::size_t generation_ = 0;     // bumped per parallelFor
     std::size_t activeDrainers_ = 0; // workers currently inside a batch
+    bool batchOpen_ = false;         // workers may still join batch_
     bool stop_ = false;
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Workspace: a size-bucketed arena of RnsPolynomial coefficient
+ * Workspace: a bounded, best-fit arena of RnsPolynomial coefficient
  * buffers for the unified kernel/dispatch layer.
  *
  * The hot FHE paths (hoist, key-switch tails, ModUp/ModDown staging,
@@ -13,12 +13,22 @@
  * paper's preallocated device working set (SIV-B "Data Reuse"): VRAM
  * scratch is carved out once and cycled, never malloc'd per kernel.
  *
- * Buffers are bucketed by capacity (in u64 coefficients) and sharded
- * by thread so concurrent dispatches do not contend on one free list.
- * checkout() prefers the calling thread's shard and falls back to
- * allocation; release returns to the caller's shard. alloc/reuse
- * counters are process-visible so benches can assert steady-state
- * reuse (>90% on warm rotateManyBatch / nn::Sequential runs).
+ * Free buffers are sharded by thread so concurrent dispatches do not
+ * contend on one lock, and each shard indexes them by capacity (in u64
+ * coefficients): checkout() takes the smallest buffer that fits, the
+ * oldest among equals, in O(log n), preferring the calling thread's
+ * shard, then stealing, then allocating. Release returns to the
+ * caller's shard.
+ *
+ * The arena is bounded. It records the most bytes ever leased out at
+ * once; when a returned or donated buffer pushes the pooled bytes
+ * (summed over all shards) above that mark, the least recently
+ * returned buffers are freed first. Donations (the storage an in-place
+ * op replaces) would otherwise grow the pool without limit, and a
+ * donated buffer of an unused shape ages out instead of crowding out
+ * the shapes that recur. alloc/reuse counters are process-visible so
+ * benches can assert steady-state reuse (>90% on warm rotateManyBatch
+ * / nn::Sequential runs).
  */
 
 #ifndef TENSORFHE_EXEC_WORKSPACE_HH
@@ -61,12 +71,14 @@ class Workspace
     {
       public:
         Pooled() = default;
-        Pooled(Workspace *ws, rns::RnsPolynomial p,
-               const char *site = "unnamed")
-            : ws_(ws), poly_(std::move(p)), site_(site)
+        /** `bytes`: the buffer size counted as leased at checkout. */
+        Pooled(Workspace *ws, rns::RnsPolynomial p, const char *site,
+               u64 bytes)
+            : ws_(ws), poly_(std::move(p)), site_(site), bytes_(bytes)
         {}
         Pooled(Pooled &&o) noexcept
-            : ws_(o.ws_), poly_(std::move(o.poly_)), site_(o.site_)
+            : ws_(o.ws_), poly_(std::move(o.poly_)), site_(o.site_),
+              bytes_(o.bytes_)
         {
             o.ws_ = nullptr;
         }
@@ -78,6 +90,7 @@ class Workspace
                 ws_ = o.ws_;
                 poly_ = std::move(o.poly_);
                 site_ = o.site_;
+                bytes_ = o.bytes_;
                 o.ws_ = nullptr;
             }
             return *this;
@@ -98,7 +111,7 @@ class Workspace
         detach()
         {
             if (ws_) {
-                ws_->endLease(site_);
+                ws_->endLease(site_, bytes_);
                 ws_ = nullptr;
             }
             return std::move(poly_);
@@ -109,7 +122,8 @@ class Workspace
         releaseToArena()
         {
             if (ws_) {
-                ws_->recycle(std::move(poly_), site_);
+                ws_->endLease(site_, bytes_);
+                ws_->recycle(std::move(poly_));
                 ws_ = nullptr;
             }
         }
@@ -117,23 +131,32 @@ class Workspace
         Workspace *ws_ = nullptr;
         rns::RnsPolynomial poly_;
         const char *site_ = "unnamed";
+        u64 bytes_ = 0;
     };
 
     /**
      * Check out a zeroed polynomial over `limbs` in `domain`. Reuses
-     * a pooled buffer of sufficient capacity when one is available
-     * (no allocator call); otherwise allocates fresh and counts it.
+     * the smallest pooled buffer of sufficient capacity when one is
+     * available (no allocator call); otherwise allocates fresh and
+     * counts it.
      * `site` names the checkout for the lease tracker's leak report.
      */
     Pooled zeros(const std::vector<std::size_t> &limbs,
                  rns::Domain domain, const char *site = "unnamed");
 
-    /** Arena traffic counters (cumulative since resetStats). */
+    /**
+     * Arena traffic counters (cumulative since resetStats) and the
+     * footprint gauges (pooledBytes is current; peakLeasedBytes, the
+     * pool's bound, survives resetStats).
+     */
     struct Stats
     {
-        u64 allocs = 0;   ///< checkouts served by the allocator
-        u64 reuses = 0;   ///< checkouts served from the pool
-        u64 returns = 0;  ///< buffers returned to the pool
+        u64 allocs = 0;          ///< checkouts served by the allocator
+        u64 reuses = 0;          ///< checkouts served from the pool
+        u64 returns = 0;         ///< buffers handed back, evicted too
+        u64 evictions = 0;       ///< pooled buffers freed to stay in bound
+        u64 pooledBytes = 0;     ///< bytes held in the free lists now
+        u64 peakLeasedBytes = 0; ///< most bytes ever leased at once
 
         double
         reuseRate() const
@@ -149,7 +172,9 @@ class Workspace
     /**
      * Donate a dead polynomial's storage to the pool (e.g. the
      * pre-rescale components an in-place op replaces), so the next
-     * checkout of that shape is allocator-free.
+     * checkout of that shape is allocator-free. Like any return it
+     * may evict the least recently returned buffers to keep the pool
+     * within its bound.
      */
     void
     donate(rns::RnsPolynomial &&p)
@@ -161,8 +186,8 @@ class Workspace
      * Pre-stage `count` pooled buffers of the given shape: each is
      * checked out (paying the allocator once, counted as an alloc)
      * and immediately returned, so the next `count` concurrent
-     * checkouts of that shape — or any smaller one, via the best-fit
-     * scan — are served from the pool. The graph executor walks a
+     * checkouts of that shape — or any smaller one, via best fit —
+     * are served from the pool. The graph executor walks a
      * compiled graph's scratch shapes through this before the first
      * run, so even a COLD graph execution hits steady-state reuse.
      */
@@ -172,7 +197,10 @@ class Workspace
     Stats stats() const;
     void resetStats();
 
-    /** Drop every pooled buffer (tests use this to force cold state). */
+    /**
+     * Drop every pooled buffer (tests use this to force cold state);
+     * pooledBytes returns to 0.
+     */
     void trim();
 
     /**
@@ -198,20 +226,35 @@ class Workspace
   private:
     friend class Pooled;
 
-    /** Return a dead polynomial's storage to the caller's shard. */
-    void recycle(rns::RnsPolynomial &&p, const char *site = nullptr);
+    /**
+     * Return a dead polynomial's storage to the caller's shard, then
+     * evict down to the bound.
+     */
+    void recycle(rns::RnsPolynomial &&p);
 
-    void beginLease(const char *site);
-    void endLease(const char *site);
+    void beginLease(const char *site, u64 bytes);
+    void endLease(const char *site, u64 bytes);
+
+    /** Free least recently returned buffers until pooled <= peak. */
+    void evictToBound();
 
     static constexpr std::size_t kShards = 8;
     static std::size_t shardIndex();
 
+    struct FreeBuffer
+    {
+        std::vector<u64> buf;
+        u64 seq = 0; ///< arena-wide return order
+    };
+    /** Capacity (u64 coefficients) -> buffer; equal keys keep order. */
+    using ByCapacity = std::multimap<std::size_t, FreeBuffer>;
+
     struct Shard
     {
         std::mutex mu;
-        /** Free buffers, any capacity; checkout scans for a fit. */
-        std::vector<std::vector<u64>> free;
+        ByCapacity byCapacity;
+        /** The same buffers by return order, oldest first. */
+        std::map<u64, ByCapacity::iterator> byAge;
     };
 
     const rns::RnsTower *tower_;
@@ -219,6 +262,11 @@ class Workspace
     std::atomic<u64> allocs_{0};
     std::atomic<u64> reuses_{0};
     std::atomic<u64> returns_{0};
+    std::atomic<u64> evictions_{0};
+    std::atomic<u64> nextSeq_{0};
+    std::atomic<u64> pooledBytes_{0};
+    std::atomic<u64> leasedBytes_{0};
+    std::atomic<u64> peakLeasedBytes_{0};
 
 #ifdef NDEBUG
     std::atomic<bool> trackLeases_{false};

@@ -137,18 +137,28 @@ MetricsRegistry::snapshot() const
         u64 allocs = 0;
         u64 reuses = 0;
         u64 returns = 0;
+        u64 evictions = 0;
+        u64 pooled = 0;
+        u64 peak_leased = 0;
         std::lock_guard<std::mutex> lock(mu_);
         for (const exec::Workspace *ws : workspaces_) {
             auto s = ws->stats();
             allocs += s.allocs;
             reuses += s.reuses;
             returns += s.returns;
+            evictions += s.evictions;
+            pooled += s.pooledBytes;
+            peak_leased += s.peakLeasedBytes;
         }
         out["workspace.arenas"] =
             static_cast<double>(workspaces_.size());
         out["workspace.allocs"] = static_cast<double>(allocs);
         out["workspace.reuses"] = static_cast<double>(reuses);
         out["workspace.returns"] = static_cast<double>(returns);
+        out["workspace.evictions"] = static_cast<double>(evictions);
+        out["workspace.pooled_bytes"] = static_cast<double>(pooled);
+        out["workspace.peak_leased_bytes"] =
+            static_cast<double>(peak_leased);
         out["workspace.reuse_rate"] =
             allocs + reuses == 0
                 ? 0.0

@@ -13,8 +13,9 @@
  *
  *   kernel.<Kind>.invocations|nanos|elements
  *   evalop.<OP>.count, evalop.modups, evalop.moddowns
- *   workspace.allocs|reuses|returns|reuse_rate   (summed over live
- *                                                 arenas)
+ *   workspace.allocs|reuses|returns|reuse_rate|evictions|
+ *             pooled_bytes|peak_leased_bytes   (summed over live
+ *                                               arenas)
  *   resilience.retries|transient_faults|integrity_failures|
  *              checkpoints_taken|checkpoints_resumed
  *   trace.spans_recorded|spans_dropped

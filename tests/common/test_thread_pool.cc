@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -143,6 +145,50 @@ TEST(ThreadPool, ConcurrentExternalDispatchersAreSafe)
         });
     other.join();
     EXPECT_EQ(total.load(), 100L * (99 * 100 / 2));
+}
+
+TEST(ThreadPool, BackToBackTinyDispatchesStayInTheirOwnBatch)
+{
+    // A worker that wakes for batch N after its dispatcher has stopped
+    // waiting must not join it: batch N's function may be gone, and
+    // the shared cursor already belongs to batch N+1. Thousands of
+    // tiny back-to-back dispatches, from two threads at once, keep
+    // that window open often. Each call's function lives in its own
+    // slot of a ring and is marked closed once the call returns, so a
+    // late joiner is counted instead of silently running the next
+    // call's indices.
+    ThreadPool pool(3);
+    constexpr int kCalls = 5000;
+    constexpr int kWidth = 4;
+    std::atomic<int> bad{0};
+    auto dispatchLoop = [&] {
+        struct Call
+        {
+            std::atomic<bool> open{false};
+            std::atomic<int> hits{0};
+            std::function<void(std::size_t)> fn;
+        };
+        std::array<Call, 4> ring;
+        for (auto &c : ring)
+            c.fn = [&c, &bad](std::size_t) {
+                if (!c.open.load())
+                    bad.fetch_add(1);
+                c.hits.fetch_add(1);
+            };
+        for (int call = 0; call < kCalls; ++call) {
+            Call &c = ring[call % ring.size()];
+            c.hits.store(0);
+            c.open.store(true);
+            pool.parallelFor(0, kWidth, c.fn);
+            c.open.store(false);
+            if (c.hits.load() != kWidth)
+                bad.fetch_add(1);
+        }
+    };
+    std::thread other(dispatchLoop);
+    dispatchLoop();
+    other.join();
+    EXPECT_EQ(bad.load(), 0);
 }
 
 } // namespace

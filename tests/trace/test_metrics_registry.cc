@@ -3,8 +3,9 @@
  * MetricsRegistry equivalence: the unified snapshot must read exactly
  * what the legacy per-island snapshot calls report — same kernel
  * invocation counts as KernelStats, same executed-op counts and
- * conversion counters as EvalOpStats, same arena alloc/reuse/return
- * totals as Workspace::stats(), same resilience counters — after real
+ * conversion counters as EvalOpStats, same arena alloc/reuse/return/
+ * eviction totals and footprint gauges as Workspace::stats(), same
+ * resilience counters — after real
  * workload runs (the LSTM cell step and the small CNN classifier),
  * not just after synthetic bumps. Plus the registry's own custom
  * counters/gauges/histograms and the nested-JSON dump.
@@ -79,6 +80,12 @@ expectSnapshotMatchesIslands(const nn::NnEngine &engine)
               static_cast<double>(ws.reuses));
     EXPECT_EQ(snap.at("workspace.returns"),
               static_cast<double>(ws.returns));
+    EXPECT_EQ(snap.at("workspace.evictions"),
+              static_cast<double>(ws.evictions));
+    EXPECT_EQ(snap.at("workspace.pooled_bytes"),
+              static_cast<double>(ws.pooledBytes));
+    EXPECT_EQ(snap.at("workspace.peak_leased_bytes"),
+              static_cast<double>(ws.peakLeasedBytes));
     EXPECT_GE(snap.at("workspace.arenas"), 1.0);
 
     const auto &rc = resilience::Counters::instance();
