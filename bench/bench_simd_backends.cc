@@ -12,6 +12,11 @@
  *   ks_inner_product_speedup  scalar / best-backend lazy inner
  *                             product row (floor 1.5)
  *
+ * It also prints conv_simd_speedup (floor 1.5): scalar / best-backend
+ * basis conversion (BaseConvPlan::applyInto, one convAccum per target
+ * limb) summed over the two HEAX Set C key-switch shapes, ModUp's
+ * 1 -> 14 limbs and ModDown's 8 -> 7.
+ *
  * Usage: bench_simd_backends [reps] [--json PATH]
  *                            [--trace PATH] [--metrics PATH]
  *   reps = timing repetitions (default 5; CI smoke runs fewer).
@@ -26,10 +31,13 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "ckks/params.hh"
 #include "common/modarith.hh"
 #include "common/primes.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "ntt/ntt.hh"
+#include "rns/conv.hh"
 #include "simd/simd.hh"
 
 namespace
@@ -205,12 +213,58 @@ main(int argc, char **argv)
     }
     printColumns("ipAccumLazy / digit row", ks_cols);
 
+    // ------------------------------------------------- basis conversion
+    bench::section("basis conversion (HEAX Set C, N=2^14, "
+                   "level count 7, serial)");
+    std::vector<Column> up_cols, down_cols, conv_cols;
+    {
+        rns::RnsTower tower(ckks::Presets::heaxSetC().towerConfig());
+        ThreadPool serial(0);
+        std::vector<std::size_t> qs, ps;
+        for (std::size_t i = 0; i < 7; ++i)
+            qs.push_back(i);
+        for (std::size_t k = 0; k < tower.numP(); ++k)
+            ps.push_back(tower.specialIndex(k));
+        // ModUp of digit {0}: the 6 other q-limbs and all 8 p-limbs.
+        std::vector<std::size_t> up_dst(qs.begin() + 1, qs.end());
+        up_dst.insert(up_dst.end(), ps.begin(), ps.end());
+        rns::BaseConvPlan up(tower, {0}, up_dst);
+        rns::BaseConvPlan down(tower, ps, qs);
+        auto digit = rns::sampleUniform(tower, {0}, rns::Domain::Coeff,
+                                        rng);
+        auto a_p = rns::sampleUniform(tower, ps, rns::Domain::Coeff, rng);
+        // One output buffer serves both shapes (14 >= 7 limbs).
+        rns::RnsPolynomial out(tower, up_dst, rns::Domain::Coeff);
+        const u64 *dp0 = digit.limb(0);
+        std::vector<const u64 *> sp;
+        std::vector<u64 *> dp;
+        for (std::size_t i = 0; i < ps.size(); ++i)
+            sp.push_back(a_p.limb(i));
+        for (std::size_t j = 0; j < up_dst.size(); ++j)
+            dp.push_back(out.limb(j));
+        for (simd::Backend b : backends) {
+            simd::setBackend(b);
+            double tu = bench::timeMean(reps, [&] {
+                up.applyInto(&dp0, dp.data(), 1, &serial);
+            });
+            double td = bench::timeMean(reps, [&] {
+                down.applyInto(sp.data(), dp.data(), 1, &serial);
+            });
+            up_cols.push_back({simd::backendName(b), tu});
+            down_cols.push_back({simd::backendName(b), td});
+            conv_cols.push_back({simd::backendName(b), tu + td});
+        }
+    }
+    printColumns("Conv 1->14 (ModUp)", up_cols);
+    printColumns("Conv 8->7 (ModDown)", down_cols);
+
     simd::setBackend(saved);
 
     // ------------------------------------------------------- headlines
     std::size_t best_i = backends.size() - 1;
     double ntt_speedup = speedupVsScalar(ntt_cols, best_i);
     double ks_speedup = speedupVsScalar(ks_cols, best_i);
+    double conv_speedup = speedupVsScalar(conv_cols, best_i);
     bench::section("headlines");
     std::printf("  best backend:              %s\n",
                 simd::backendName(best));
@@ -218,6 +272,8 @@ main(int argc, char **argv)
                 ntt_speedup);
     std::printf("  ks_inner_product_speedup:  %.2fx (floor 1.5)\n",
                 ks_speedup);
+    std::printf("  conv_simd_speedup:         %.2fx (floor 1.5)\n",
+                conv_speedup);
 
     if (!json_path.empty()) {
         bench::JsonWriter json("simd_backends");
@@ -225,7 +281,8 @@ main(int argc, char **argv)
             .add("n", static_cast<double>(kN))
             .add("best_backend", simd::backendName(best))
             .add("ntt_simd_speedup", ntt_speedup)
-            .add("ks_inner_product_speedup", ks_speedup);
+            .add("ks_inner_product_speedup", ks_speedup)
+            .add("conv_simd_speedup", conv_speedup);
         for (std::size_t i = 0; i < backends.size(); ++i) {
             std::string suffix =
                 std::string("_s_") + ntt_cols[i].name;
@@ -233,7 +290,9 @@ main(int argc, char **argv)
                 .add("add_span" + suffix, add_cols[i].seconds)
                 .add("mul_span" + suffix, mul_cols[i].seconds)
                 .add("mul_accum" + suffix, acc_cols[i].seconds)
-                .add("ks_ip_row" + suffix, ks_cols[i].seconds);
+                .add("ks_ip_row" + suffix, ks_cols[i].seconds)
+                .add("conv_modup" + suffix, up_cols[i].seconds)
+                .add("conv_moddown" + suffix, down_cols[i].seconds);
         }
         if (!json.appendTo(json_path)) {
             std::fprintf(stderr, "cannot write %s\n",

@@ -47,10 +47,13 @@ HEADLINES = {
     "trace_disarmed_bound": ("trace_overhead", "disarmed_bound", "ceiling", 0.01),
     # SIMD backend wins (bench_simd_backends): best vector backend vs
     # the bit-identical scalar fallback. Floor-gated: the vectorized
-    # forward NTT must stay >= 2x scalar and the key-switch
-    # inner-product row >= 1.5x, independent of any baseline drift.
+    # forward NTT must stay >= 2x scalar, and the key-switch
+    # inner-product row and the basis conversion (Conv at the HEAX
+    # Set C ModUp/ModDown shapes) >= 1.5x, independent of any
+    # baseline drift.
     "ntt_simd_speedup": ("simd_backends", "ntt_simd_speedup", "floor", 2.0),
     "ks_inner_product_simd_speedup": ("simd_backends", "ks_inner_product_speedup", "floor", 1.5),
+    "conv_simd_speedup": ("simd_backends", "conv_simd_speedup", "floor", 1.5),
     # Global planner win (bench_plan): modeled cost of the planned
     # schedule vs the greedy bootstrap splice on the better of the
     # two reference workloads (deep CNN / LSTM gate tower). Model

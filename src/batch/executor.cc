@@ -8,6 +8,22 @@
 namespace tensorfhe::batch
 {
 
+namespace
+{
+
+/** A copy rescaled in place keeps its dropped limb's storage; release
+    it so long-lived results hold only their own limbs. */
+void
+shrinkToFit(BatchedEvaluator::Cts &cts)
+{
+    for (auto &ct : cts) {
+        ct.c0.shrinkToFit();
+        ct.c1.shrinkToFit();
+    }
+}
+
+} // namespace
+
 BatchedEvaluator::BatchedEvaluator(const ckks::CkksContext &ctx,
                                    const ckks::KeyBundle &keys,
                                    ThreadPool *pool)
@@ -119,6 +135,7 @@ BatchedEvaluator::multiplyPlainRescale(const Cts &a,
     requireArg(p.levelCount() == limbs, "plaintext level mismatch");
     Cts out = a;
     disp_->multiplyPlainRescaleInPlace(out.data(), p, out.size());
+    shrinkToFit(out);
     return out;
 }
 
@@ -129,6 +146,7 @@ BatchedEvaluator::rescale(const Cts &a) const
         return {};
     Cts out = a;
     rescaleInPlace(out);
+    shrinkToFit(out);
     return out;
 }
 

@@ -149,6 +149,8 @@ Evaluator::rescale(const Ciphertext &a) const
     requireArg(a.levelCount() >= 2, "cannot rescale at level 0");
     Ciphertext out = a;
     disp_->rescaleInPlace(&out, 1);
+    out.c0.shrinkToFit(); // the copy's dropped limb
+    out.c1.shrinkToFit();
     return out;
 }
 

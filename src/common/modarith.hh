@@ -140,14 +140,25 @@ shoupPrecomputeBeta(u64 w, u64 q, int bits)
 }
 
 /**
+ * Lazy Shoup product: a * w mod q plus 0 or q, i.e. in [0, 2q). Holds
+ * for any a < 2^64 (not only a < q) and w < q < 2^63.
+ */
+inline u64
+mulModShoupLazy(u64 a, u64 w, u64 w_shoup, u64 q)
+{
+    u64 hi = static_cast<u64>((static_cast<u128>(a) * w_shoup) >> 64);
+    return a * w - hi * q; // both mults wrap mod 2^64
+}
+
+/**
  * a * w mod q using the Shoup trick: one high-half multiply, one wrap
- * multiply, one conditional subtraction. Requires a < q, w < q.
+ * multiply, one conditional subtraction. Requires w < q; a may be any
+ * u64, so w = 1 reduces a mod q exactly.
  */
 inline u64
 mulModShoup(u64 a, u64 w, u64 w_shoup, u64 q)
 {
-    u64 hi = static_cast<u64>((static_cast<u128>(a) * w_shoup) >> 64);
-    u64 r = a * w - hi * q; // both mults wrap mod 2^64
+    u64 r = mulModShoupLazy(a, w, w_shoup, q);
     return r >= q ? r - q : r;
 }
 

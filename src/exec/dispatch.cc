@@ -169,23 +169,7 @@ Dispatcher::rescaleInPlace(ckks::Ciphertext *as, std::size_t batch) const
         comps.push_back(&as[s].c1);
     }
     rns::toCoeffBatch(comps, v, kctx_.pool);
-
-    std::vector<const rns::RnsPolynomial *> inputs(comps.begin(),
-                                                   comps.end());
-    auto dropped = rns::rescaleByLastLimbBatch(inputs, kctx_.pool);
-    for (std::size_t s = 0; s < batch; ++s) {
-        // The replaced components' storage feeds the arena so later
-        // scratch checkouts of this shape stay allocator-free.
-        ws_->donate(std::move(as[s].c0));
-        ws_->donate(std::move(as[s].c1));
-        as[s].c0 = std::move(dropped[2 * s]);
-        as[s].c1 = std::move(dropped[2 * s + 1]);
-    }
-    comps.clear();
-    for (std::size_t s = 0; s < batch; ++s) {
-        comps.push_back(&as[s].c0);
-        comps.push_back(&as[s].c1);
-    }
+    rns::rescaleByLastLimbInPlace(comps.data(), comps.size(), kctx_.pool);
     rns::toEvalBatch(comps, v, kctx_.pool);
     for (std::size_t s = 0; s < batch; ++s)
         as[s].scale = as[s].scale / static_cast<double>(q_last);
@@ -216,20 +200,7 @@ Dispatcher::multiplyPlainRescaleInPlace(ckks::Ciphertext *as,
         comps.push_back(&as[s].c0);
         comps.push_back(&as[s].c1);
     }
-    std::vector<const rns::RnsPolynomial *> inputs(comps.begin(),
-                                                   comps.end());
-    auto dropped = rns::rescaleByLastLimbBatch(inputs, kctx_.pool);
-    for (std::size_t s = 0; s < batch; ++s) {
-        ws_->donate(std::move(as[s].c0));
-        ws_->donate(std::move(as[s].c1));
-        as[s].c0 = std::move(dropped[2 * s]);
-        as[s].c1 = std::move(dropped[2 * s + 1]);
-    }
-    comps.clear();
-    for (std::size_t s = 0; s < batch; ++s) {
-        comps.push_back(&as[s].c0);
-        comps.push_back(&as[s].c1);
-    }
+    rns::rescaleByLastLimbInPlace(comps.data(), comps.size(), kctx_.pool);
     rns::toEvalBatch(comps, v, kctx_.pool);
     // Same double arithmetic order as the eager pair: the CMULT's
     // (a.scale * p.scale) product first, then the rescale's divide.

@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/thread_pool.hh"
+#include "simd/simd.hh"
 #include "trace/trace.hh"
 
 namespace tensorfhe::rns
@@ -19,6 +20,13 @@ poolOrGlobal(ThreadPool *pool)
     return pool ? *pool : ThreadPool::global();
 }
 
+/** Cells per Conv task: the scale-phase scratch (s x block) and the
+    source block stay cache-resident across the t target limbs. */
+constexpr std::size_t kConvBlock = 512;
+
+/** Cells per rescale block (two stack spans). */
+constexpr std::size_t kRescaleBlock = 256;
+
 } // namespace
 
 // ------------------------------------------------------------------
@@ -27,126 +35,163 @@ poolOrGlobal(ThreadPool *pool)
 BaseConvPlan::BaseConvPlan(const RnsTower &tower,
                            std::vector<std::size_t> src,
                            std::vector<std::size_t> dst)
-    : tower_(&tower), src_(std::move(src)), dst_(std::move(dst))
+    : n_(tower.n()), src_(std::move(src)), dst_(std::move(dst))
 {
     std::size_t s = src_.size();
     std::size_t t = dst_.size();
+    TFHE_ASSERT(s >= 1, "Conv needs at least one source limb");
+    bool small = true;
+    for (std::size_t i : src_) {
+        srcQ_.push_back(tower.prime(i));
+        small = small && tower.prime(i) < (u64(1) << 32);
+    }
+    for (std::size_t j : dst_) {
+        dstQ_.push_back(tower.prime(j));
+        small = small && tower.prime(j) < (u64(1) << 32);
+    }
+
     hatInv_.resize(s);
     hatInvShoup_.resize(s);
+    if (small)
+        hatInvShoup32_.resize(s);
     for (std::size_t i = 0; i < s; ++i) {
         const Modulus &mi = tower.modulus(src_[i]);
         u64 prod = 1;
         for (std::size_t i2 = 0; i2 < s; ++i2) {
             if (i2 != i)
-                prod = mi.mul(prod, tower.prime(src_[i2]) % mi.value());
+                prod = mi.mul(prod, srcQ_[i2] % mi.value());
         }
         hatInv_[i] = mi.inv(prod);
         hatInvShoup_[i] = shoupPrecompute(hatInv_[i], mi.value());
+        if (small)
+            hatInvShoup32_[i] =
+                shoupPrecomputeBeta(hatInv_[i], mi.value(), 32);
+        scale_ = scale_ || hatInv_[i] != 1;
     }
-    hat_.resize(s * t);
+    hat_.resize(t * s);
+    hatShoup64_.resize(t * s);
+    if (small)
+        hatShoup32_.resize(t * s);
     for (std::size_t j = 0; j < t; ++j) {
         const Modulus &mj = tower.modulus(dst_[j]);
         for (std::size_t i = 0; i < s; ++i) {
             u64 prod = 1;
             for (std::size_t i2 = 0; i2 < s; ++i2) {
                 if (i2 != i)
-                    prod = mj.mul(prod, tower.prime(src_[i2]) % mj.value());
+                    prod = mj.mul(prod, srcQ_[i2] % mj.value());
             }
-            hat_[i * t + j] = prod;
+            std::size_t at = j * s + i;
+            hat_[at] = prod;
+            hatShoup64_[at] = shoupPrecompute(prod, mj.value());
+            if (small)
+                hatShoup32_[at] = shoupPrecomputeBeta(prod, mj.value(), 32);
         }
     }
 }
 
-/** y_i = a_i * hatInv_i mod s_i for every source limb of one slot. */
 void
-BaseConvPlan::scalePhase(const RnsPolynomial &a, u64 *y) const
+BaseConvPlan::applyInto(const u64 *const *src, u64 *const *dst,
+                        std::size_t batch, ThreadPool *pool) const
 {
-    std::size_t n = a.n();
-    for (std::size_t i = 0; i < a.numLimbs(); ++i) {
-        const Modulus &mi = a.limbModulus(i);
-        const u64 *src = a.limb(i);
-        u64 *dst = y + i * n;
-        for (std::size_t c = 0; c < n; ++c)
-            dst[c] = mulModShoup(src[c], hatInv_[i], hatInvShoup_[i],
-                                 mi.value());
-    }
-}
-
-/** out_j = sum_i y_i * hat_ij for one (slot, target-limb) task. */
-void
-BaseConvPlan::accumulatePhase(const u64 *y, std::size_t j, u64 *dst) const
-{
+    if (batch == 0)
+        return;
     std::size_t s = src_.size();
     std::size_t t = dst_.size();
-    std::size_t n = tower_->n();
-    const Modulus &mj = tower_->modulus(dst_[j]);
-    for (std::size_t c = 0; c < n; ++c) {
-        u128 acc = 0;
+    ScopedKernelTimer timer(KernelKind::Conv, batch * (s + t) * n_);
+
+    const simd::Ops &ops = simd::ops();
+    bool small = !hatShoup32_.empty();
+    std::size_t block = std::min(n_, kConvBlock);
+    std::size_t blocks = (n_ + block - 1) / block;
+    poolOrGlobal(pool).parallelFor2D(batch, blocks, [&](std::size_t b,
+                                                        std::size_t k) {
+        thread_local std::vector<const u64 *> ys;
+        thread_local std::vector<u64> scratch;
+        std::size_t c0 = k * block;
+        std::size_t len = std::min(block, n_ - c0);
+        const u64 *const *a = src + b * s;
+        ys.resize(s);
         for (std::size_t i = 0; i < s; ++i)
-            acc += static_cast<u128>(y[i * n + c]) * hat_[i * t + j];
-        dst[c] = mj.reduce(acc);
-    }
+            ys[i] = a[i] + c0;
+        if (scale_) {
+            // The scale phase is a one-term conversion per source limb:
+            // y_i = a_i * hatInv_i mod s_i, canonical.
+            if (scratch.size() < s * block)
+                scratch.resize(s * block);
+            for (std::size_t i = 0; i < s; ++i) {
+                u64 *y = scratch.data() + i * block;
+                ops.convAccum(y, &ys[i], &hatInv_[i],
+                              small ? &hatInvShoup32_[i] : nullptr,
+                              &hatInvShoup_[i], 1, len, srcQ_[i]);
+                ys[i] = y;
+            }
+        }
+        for (std::size_t j = 0; j < t; ++j) {
+            std::size_t row = j * s;
+            ops.convAccum(dst[b * t + j] + c0, ys.data(), &hat_[row],
+                          small ? &hatShoup32_[row] : nullptr,
+                          &hatShoup64_[row], s, len, dstQ_[j]);
+        }
+    });
 }
 
-RnsPolynomial
-BaseConvPlan::apply(const RnsPolynomial &a) const
+namespace
 {
-    TFHE_ASSERT(a.domain() == Domain::Coeff,
-                "Conv operates in coefficient domain");
-    TFHE_ASSERT(a.limbIndices() == src_,
-                "polynomial does not match the plan's source basis");
-    std::size_t n = a.n();
-    std::size_t s = src_.size();
-    std::size_t t = dst_.size();
-    ScopedKernelTimer timer(KernelKind::Conv, (s + t) * n);
 
-    std::vector<u64> y(s * n);
-    scalePhase(a, y.data());
-
-    RnsPolynomial out(*tower_, dst_, Domain::Coeff);
-    ThreadPool::global().parallelFor(0, t, [&](std::size_t j) {
-        accumulatePhase(y.data(), j, out.limb(j));
-    });
+/** Raw limb pointers of every polynomial, slot-major. */
+template <class Poly, class Ptr>
+std::vector<Ptr>
+limbPtrs(Poly *const *ps, std::size_t batch, std::size_t first,
+         std::size_t count)
+{
+    std::vector<Ptr> out;
+    out.reserve(batch * count);
+    for (std::size_t b = 0; b < batch; ++b)
+        for (std::size_t i = first; i < first + count; ++i)
+            out.push_back(ps[b]->limb(i));
     return out;
 }
 
+/** Fresh Coeff-domain outputs over `limbs` and their pointers. */
 std::vector<RnsPolynomial>
-BaseConvPlan::applyBatch(const std::vector<const RnsPolynomial *> &as,
-                         ThreadPool *pool) const
+freshOutputs(const RnsTower &tower, const std::vector<std::size_t> &limbs,
+             std::size_t batch, std::vector<RnsPolynomial *> &ptrs)
+{
+    std::vector<RnsPolynomial> out;
+    out.reserve(batch);
+    for (std::size_t b = 0; b < batch; ++b)
+        out.emplace_back(tower, limbs, Domain::Coeff);
+    ptrs.resize(batch);
+    for (std::size_t b = 0; b < batch; ++b)
+        ptrs[b] = &out[b];
+    return out;
+}
+
+} // namespace
+
+std::vector<RnsPolynomial>
+fastBaseConvBatch(const std::vector<const RnsPolynomial *> &as,
+                  const std::vector<std::size_t> &target_limbs,
+                  ThreadPool *pool)
 {
     std::size_t batch = as.size();
     if (batch == 0)
         return {};
-    std::size_t n = tower_->n();
-    std::size_t s = src_.size();
-    std::size_t t = dst_.size();
     for (const RnsPolynomial *a : as) {
         TFHE_ASSERT(a->domain() == Domain::Coeff,
                     "Conv operates in coefficient domain");
-        TFHE_ASSERT(a->limbIndices() == src_,
-                    "batched Conv requires the plan's source basis");
+        TFHE_ASSERT(a->limbIndices() == as[0]->limbIndices(),
+                    "batched Conv requires a uniform limb set");
     }
-    ScopedKernelTimer timer(KernelKind::Conv, batch * (s + t) * n);
-
-    ThreadPool &tp = poolOrGlobal(pool);
-    std::vector<u64> y(batch * s * n);
-    tp.parallelFor2D(batch, s, [&](std::size_t b, std::size_t i) {
-        const RnsPolynomial &a = *as[b];
-        const Modulus &mi = a.limbModulus(i);
-        const u64 *src = a.limb(i);
-        u64 *dst = y.data() + (b * s + i) * n;
-        for (std::size_t c = 0; c < n; ++c)
-            dst[c] = mulModShoup(src[c], hatInv_[i], hatInvShoup_[i],
-                                 mi.value());
-    });
-
-    std::vector<RnsPolynomial> out;
-    out.reserve(batch);
-    for (std::size_t b = 0; b < batch; ++b)
-        out.emplace_back(*tower_, dst_, Domain::Coeff);
-    tp.parallelFor2D(batch, t, [&](std::size_t b, std::size_t j) {
-        accumulatePhase(y.data() + b * s * n, j, out[b].limb(j));
-    });
+    // One factor table for the whole batch (paper SIV-B data reuse).
+    BaseConvPlan plan(as[0]->tower(), as[0]->limbIndices(), target_limbs);
+    std::vector<RnsPolynomial *> out_ptrs;
+    auto out = freshOutputs(as[0]->tower(), target_limbs, batch, out_ptrs);
+    auto src = limbPtrs<const RnsPolynomial, const u64 *>(
+        as.data(), batch, 0, as[0]->numLimbs());
+    auto dst = limbPtrs<RnsPolynomial, u64 *>(out_ptrs.data(), batch, 0,
+                                              target_limbs.size());
+    plan.applyInto(src.data(), dst.data(), batch, pool);
     return out;
 }
 
@@ -154,20 +199,7 @@ RnsPolynomial
 fastBaseConv(const RnsPolynomial &a,
              const std::vector<std::size_t> &target_limbs)
 {
-    return BaseConvPlan(a.tower(), a.limbIndices(), target_limbs)
-        .apply(a);
-}
-
-std::vector<RnsPolynomial>
-fastBaseConvBatch(const std::vector<const RnsPolynomial *> &as,
-                  const std::vector<std::size_t> &target_limbs,
-                  ThreadPool *pool)
-{
-    if (as.empty())
-        return {};
-    // One factor table for the whole batch (paper SIV-B data reuse).
-    BaseConvPlan plan(as[0]->tower(), as[0]->limbIndices(), target_limbs);
-    return plan.applyBatch(as, pool);
+    return std::move(fastBaseConvBatch({&a}, target_limbs)[0]);
 }
 
 std::vector<RnsPolynomial>
@@ -230,57 +262,16 @@ ModUpPlan::ModUpPlan(const RnsTower &tower,
       target_(unionBasis(tower, level_count)),
       conv_(tower, digit_limbs_, limbsOutside(target_, digit_limbs_))
 {
-    copySrc_.resize(target_.size());
-    for (std::size_t j = 0; j < target_.size(); ++j) {
-        auto it = std::find(digit_limbs_.begin(), digit_limbs_.end(),
-                            target_[j]);
-        copySrc_[j] = it == digit_limbs_.end()
-            ? npos
-            : static_cast<std::size_t>(it - digit_limbs_.begin());
+    for (std::size_t idx : digit_limbs_) {
+        auto it = std::find(target_.begin(), target_.end(), idx);
+        TFHE_ASSERT(it != target_.end(),
+                    "digit limb outside the union basis");
+        copyPos_.push_back(static_cast<std::size_t>(it - target_.begin()));
     }
-}
-
-RnsPolynomial
-ModUpPlan::apply(const RnsPolynomial &digit) const
-{
-    TFHE_ASSERT(digit.domain() == Domain::Coeff);
-    TFHE_ASSERT(digit.limbIndices() == digit_limbs_,
-                "digit does not match the plan's limb set");
-    TFHE_TRACE_SPAN("rns", "modup");
-    RnsPolynomial converted = conv_.apply(digit);
-
-    RnsPolynomial out(*tower_, target_, Domain::Coeff);
-    std::size_t n = digit.n();
-    std::size_t oi = 0;
-    for (std::size_t j = 0; j < target_.size(); ++j) {
-        if (copySrc_[j] != npos) {
-            std::copy(digit.limb(copySrc_[j]),
-                      digit.limb(copySrc_[j]) + n, out.limb(j));
-        } else {
-            std::copy(converted.limb(oi), converted.limb(oi) + n,
-                      out.limb(j));
-            ++oi;
-        }
-    }
-    return out;
-}
-
-std::vector<RnsPolynomial>
-ModUpPlan::applyBatch(const std::vector<const RnsPolynomial *> &digits,
-                      ThreadPool *pool) const
-{
-    std::size_t batch = digits.size();
-    if (batch == 0)
-        return {};
-    std::vector<RnsPolynomial> out;
-    out.reserve(batch);
-    std::vector<RnsPolynomial *> out_ptrs(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-        out.emplace_back(*tower_, target_, Domain::Coeff);
-        out_ptrs[b] = &out[b];
-    }
-    applyBatchInto(digits, out_ptrs.data(), pool);
-    return out;
+    for (std::size_t j = 0; j < target_.size(); ++j)
+        if (std::find(copyPos_.begin(), copyPos_.end(), j)
+                == copyPos_.end())
+            convPos_.push_back(j);
 }
 
 void
@@ -295,46 +286,38 @@ ModUpPlan::applyBatchInto(const std::vector<const RnsPolynomial *> &digits,
     tsp.arg("batch", static_cast<s64>(batch))
         .arg("limbs", static_cast<s64>(target_.size()));
     std::size_t n = tower_->n();
-    for (std::size_t b = 0; b < batch; ++b)
+    std::size_t dl = digit_limbs_.size();
+    std::size_t t = convPos_.size();
+    std::vector<const u64 *> src(batch * dl);
+    std::vector<u64 *> dst(batch * t);
+    for (std::size_t b = 0; b < batch; ++b) {
+        TFHE_ASSERT(digits[b]->domain() == Domain::Coeff
+                        && digits[b]->limbIndices() == digit_limbs_,
+                    "digit does not match the plan's limb set");
         TFHE_ASSERT(outs[b]->limbIndices() == target_
                         && outs[b]->domain() == Domain::Coeff,
                     "ModUp output not preshaped to the union basis");
-    auto converted = conv_.applyBatch(digits, pool);
-
-    poolOrGlobal(pool).parallelFor(0, batch, [&](std::size_t b) {
-        const RnsPolynomial &digit = *digits[b];
-        std::size_t oi = 0;
-        for (std::size_t j = 0; j < target_.size(); ++j) {
-            if (copySrc_[j] != npos) {
-                std::copy(digit.limb(copySrc_[j]),
-                          digit.limb(copySrc_[j]) + n, outs[b]->limb(j));
-            } else {
-                std::copy(converted[b].limb(oi),
-                          converted[b].limb(oi) + n, outs[b]->limb(j));
-                ++oi;
-            }
-        }
+        for (std::size_t i = 0; i < dl; ++i)
+            src[b * dl + i] = digits[b]->limb(i);
+        for (std::size_t k = 0; k < t; ++k)
+            dst[b * t + k] = outs[b]->limb(convPos_[k]);
+    }
+    conv_.applyInto(src.data(), dst.data(), batch, pool);
+    poolOrGlobal(pool).parallelFor2D(batch, dl, [&](std::size_t b,
+                                                    std::size_t i) {
+        std::copy(src[b * dl + i], src[b * dl + i] + n,
+                  outs[b]->limb(copyPos_[i]));
     });
 }
 
 RnsPolynomial
 modUp(const RnsPolynomial &digit, std::size_t level_count)
 {
-    return ModUpPlan(digit.tower(), digit.limbIndices(), level_count)
-        .apply(digit);
-}
-
-std::vector<RnsPolynomial>
-modUpBatch(const std::vector<const RnsPolynomial *> &digits,
-           std::size_t level_count, ThreadPool *pool)
-{
-    if (digits.empty())
-        return {};
-    // Union basis and Conv factors are fixed by the digit's limb set,
-    // so they are computed once for the batch.
-    ModUpPlan plan(digits[0]->tower(), digits[0]->limbIndices(),
-                   level_count);
-    return plan.applyBatch(digits, pool);
+    ModUpPlan plan(digit.tower(), digit.limbIndices(), level_count);
+    RnsPolynomial out(digit.tower(), plan.unionLimbs(), Domain::Coeff);
+    RnsPolynomial *outp = &out;
+    plan.applyBatchInto({&digit}, &outp);
+    return out;
 }
 
 // ------------------------------------------------------------------
@@ -374,14 +357,14 @@ ModDownPlan::ModDownPlan(const RnsTower &tower,
     std::size_t k = tower.numP();
     for (std::size_t j = 0; j < k; ++j)
         TFHE_ASSERT(p_idx_[j] >= tower.numQ(), "limb order violated");
-    // P^-1 per q-limb is slot-independent: precompute once.
+    // -P^-1 per q-limb is slot-independent: precompute once.
     std::size_t ql = q_idx_.size();
-    pInv_.resize(ql);
-    pInvShoup_.resize(ql);
+    negPInv_.resize(ql);
+    negPInvShoup_.resize(ql);
     for (std::size_t j = 0; j < ql; ++j) {
-        pInv_[j] = tower.pInvModQ(q_idx_[j]);
-        pInvShoup_[j] =
-            shoupPrecompute(pInv_[j], tower.modulus(q_idx_[j]).value());
+        u64 q = tower.modulus(q_idx_[j]).value();
+        negPInv_[j] = negMod(tower.pInvModQ(q_idx_[j]), q);
+        negPInvShoup_[j] = shoupPrecompute(negPInv_[j], q);
     }
 }
 
@@ -398,57 +381,6 @@ ModDownPlan::matchesUnionBasis(const RnsPolynomial &a) const
                           + static_cast<std::ptrdiff_t>(ql));
 }
 
-RnsPolynomial
-ModDownPlan::apply(const RnsPolynomial &a) const
-{
-    TFHE_ASSERT(a.domain() == Domain::Coeff);
-    std::size_t k = p_idx_.size();
-    std::size_t ql = q_idx_.size();
-    TFHE_ASSERT(matchesUnionBasis(a),
-                "polynomial does not match the plan's union basis");
-    TFHE_TRACE_SPAN("rns", "moddown");
-    std::size_t n = a.n();
-
-    // The special-limb part of a.
-    RnsPolynomial a_p(*tower_, p_idx_, Domain::Coeff);
-    for (std::size_t j = 0; j < k; ++j)
-        std::copy(a.limb(ql + j), a.limb(ql + j) + n, a_p.limb(j));
-
-    // Convert a mod P onto the q-limbs, subtract, multiply by P^-1.
-    RnsPolynomial conv = conv_.apply(a_p);
-
-    RnsPolynomial out(*tower_, q_idx_, Domain::Coeff);
-    ThreadPool::global().parallelFor(0, ql, [&](std::size_t j) {
-        const Modulus &mod = tower_->modulus(q_idx_[j]);
-        const u64 *pa = a.limb(j);
-        const u64 *pc = conv.limb(j);
-        u64 *po = out.limb(j);
-        for (std::size_t c = 0; c < n; ++c) {
-            po[c] = mulModShoup(mod.sub(pa[c], pc[c]), pInv_[j],
-                                pInvShoup_[j], mod.value());
-        }
-    });
-    return out;
-}
-
-std::vector<RnsPolynomial>
-ModDownPlan::applyBatch(const std::vector<const RnsPolynomial *> &as,
-                        ThreadPool *pool) const
-{
-    std::size_t batch = as.size();
-    if (batch == 0)
-        return {};
-    std::vector<RnsPolynomial> out;
-    out.reserve(batch);
-    std::vector<RnsPolynomial *> out_ptrs(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-        out.emplace_back(*tower_, q_idx_, Domain::Coeff);
-        out_ptrs[b] = &out[b];
-    }
-    applyBatchInto(as, out_ptrs.data(), pool);
-    return out;
-}
-
 void
 ModDownPlan::applyBatchInto(const std::vector<const RnsPolynomial *> &as,
                             RnsPolynomial *const *outs,
@@ -463,10 +395,6 @@ ModDownPlan::applyBatchInto(const std::vector<const RnsPolynomial *> &as,
     std::size_t k = p_idx_.size();
     std::size_t ql = q_idx_.size();
     std::size_t n = tower_->n();
-
-    ThreadPool &tp = poolOrGlobal(pool);
-    std::vector<RnsPolynomial> a_ps;
-    a_ps.reserve(batch);
     for (std::size_t b = 0; b < batch; ++b) {
         TFHE_ASSERT(as[b]->domain() == Domain::Coeff);
         TFHE_ASSERT(matchesUnionBasis(*as[b]),
@@ -474,132 +402,113 @@ ModDownPlan::applyBatchInto(const std::vector<const RnsPolynomial *> &as,
         TFHE_ASSERT(outs[b]->limbIndices() == q_idx_
                         && outs[b]->domain() == Domain::Coeff,
                     "ModDown output not preshaped to the q-basis");
-        a_ps.emplace_back(*tower_, p_idx_, Domain::Coeff);
     }
-    tp.parallelFor2D(batch, k, [&](std::size_t b, std::size_t j) {
-        std::copy(as[b]->limb(ql + j), as[b]->limb(ql + j) + n,
-                  a_ps[b].limb(j));
-    });
 
-    std::vector<const RnsPolynomial *> a_p_ptrs(batch);
-    for (std::size_t b = 0; b < batch; ++b)
-        a_p_ptrs[b] = &a_ps[b];
-    auto conv = conv_.applyBatch(a_p_ptrs, pool);
+    // Convert a mod P (the P limbs, read in place) onto the q-limbs.
+    auto src = limbPtrs<const RnsPolynomial, const u64 *>(as.data(),
+                                                          batch, ql, k);
+    auto dst = limbPtrs<RnsPolynomial, u64 *>(outs, batch, 0, ql);
+    conv_.applyInto(src.data(), dst.data(), batch, pool);
 
-    tp.parallelFor2D(batch, ql, [&](std::size_t b, std::size_t j) {
-        const Modulus &mod = tower_->modulus(q_idx_[j]);
-        const u64 *pa = as[b]->limb(j);
-        const u64 *pc = conv[b].limb(j);
+    // (conv - a_j) * (q_j - P^-1) = (a_j - conv) * P^-1 mod q_j.
+    const simd::Ops &ops = simd::ops();
+    poolOrGlobal(pool).parallelFor2D(batch, ql, [&](std::size_t b,
+                                                    std::size_t j) {
+        u64 q = tower_->prime(q_idx_[j]);
         u64 *po = outs[b]->limb(j);
-        for (std::size_t c = 0; c < n; ++c) {
-            po[c] = mulModShoup(mod.sub(pa[c], pc[c]), pInv_[j],
-                                pInvShoup_[j], mod.value());
-        }
+        ops.subSpan(po, as[b]->limb(j), n, q);
+        ops.mulShoup(po, negPInv_[j], negPInvShoup_[j], n, q);
     });
 }
 
 RnsPolynomial
 modDown(const RnsPolynomial &a)
 {
-    return ModDownPlan(a.tower(), a.limbIndices()).apply(a);
-}
-
-std::vector<RnsPolynomial>
-modDownBatch(const std::vector<const RnsPolynomial *> &as,
-             ThreadPool *pool)
-{
-    if (as.empty())
-        return {};
-    for (const RnsPolynomial *a : as)
-        TFHE_ASSERT(a->limbIndices() == as[0]->limbIndices(),
-                    "batched ModDown requires a uniform limb set");
-    ModDownPlan plan(as[0]->tower(), as[0]->limbIndices());
-    return plan.applyBatch(as, pool);
-}
-
-RnsPolynomial
-rescaleByLastLimb(const RnsPolynomial &a)
-{
-    TFHE_ASSERT(a.domain() == Domain::Coeff);
-    TFHE_ASSERT(a.numLimbs() >= 2, "cannot rescale a one-limb poly");
-    const RnsTower &tower = a.tower();
-    std::size_t last = a.numLimbs() - 1;
-    std::size_t n = a.n();
-    u64 q_last = tower.prime(a.limbIndex(last));
-    const u64 *pl = a.limb(last);
-
-    std::vector<std::size_t> q_idx(a.limbIndices().begin(),
-                                   a.limbIndices().begin() + last);
-    RnsPolynomial out(tower, q_idx, Domain::Coeff);
-    ThreadPool::global().parallelFor(0, last, [&](std::size_t j) {
-        const Modulus &mod = tower.modulus(q_idx[j]);
-        u64 q = mod.value();
-        u64 qlast_inv = mod.inv(q_last % q);
-        u64 qi_shoup = shoupPrecompute(qlast_inv, q);
-        const u64 *pa = a.limb(j);
-        u64 *po = out.limb(j);
-        for (std::size_t c = 0; c < n; ++c) {
-            // Centered lift of the last-limb residue into [0, q).
-            u64 v = pl[c];
-            u64 lifted = v <= q_last / 2
-                ? v % q
-                : mod.sub(0, (q_last - v) % q);
-            po[c] = mulModShoup(mod.sub(pa[c], lifted), qlast_inv,
-                                qi_shoup, q);
-        }
-    });
+    ModDownPlan plan(a.tower(), a.limbIndices());
+    RnsPolynomial out(a.tower(), plan.qLimbs(), Domain::Coeff);
+    RnsPolynomial *outp = &out;
+    plan.applyBatchInto({&a}, &outp);
     return out;
 }
 
-std::vector<RnsPolynomial>
-rescaleByLastLimbBatch(const std::vector<const RnsPolynomial *> &as,
-                       ThreadPool *pool)
+// ------------------------------------------------------------------
+// RESCALE core
+
+void
+rescaleByLastLimbInPlace(RnsPolynomial *const *as, std::size_t batch,
+                         ThreadPool *pool)
 {
-    std::size_t batch = as.size();
     if (batch == 0)
-        return {};
+        return;
     const RnsPolynomial &front = *as[0];
     TFHE_ASSERT(front.numLimbs() >= 2, "cannot rescale a one-limb poly");
     const RnsTower &tower = front.tower();
     std::size_t last = front.numLimbs() - 1;
     std::size_t n = front.n();
     u64 q_last = tower.prime(front.limbIndex(last));
-
-    std::vector<std::size_t> q_idx(front.limbIndices().begin(),
-                                   front.limbIndices().begin() + last);
-    // q_last^-1 per remaining limb is slot-independent.
-    std::vector<u64> qinv(last), qinv_shoup(last);
-    for (std::size_t j = 0; j < last; ++j) {
-        const Modulus &mod = tower.modulus(q_idx[j]);
-        qinv[j] = mod.inv(q_last % mod.value());
-        qinv_shoup[j] = shoupPrecompute(qinv[j], mod.value());
-    }
-
-    std::vector<RnsPolynomial> out;
-    out.reserve(batch);
     for (std::size_t b = 0; b < batch; ++b) {
         TFHE_ASSERT(as[b]->domain() == Domain::Coeff);
         TFHE_ASSERT(as[b]->limbIndices() == front.limbIndices(),
                     "batched RESCALE requires a uniform limb set");
-        out.emplace_back(tower, q_idx, Domain::Coeff);
     }
+
+    // q_last^-1 and the Shoup companion of 1 per remaining limb are
+    // slot-independent.
+    std::vector<u64> qinv(last), qinv_shoup(last), one_shoup(last);
+    for (std::size_t j = 0; j < last; ++j) {
+        const Modulus &mod = tower.modulus(front.limbIndex(j));
+        qinv[j] = mod.inv(q_last % mod.value());
+        qinv_shoup[j] = shoupPrecompute(qinv[j], mod.value());
+        one_shoup[j] = shoupPrecompute(1, mod.value());
+    }
+
+    // With v the last-limb residue and the centered lift v - q_last
+    // for v > q_last/2: (a - lift) * q_last^-1
+    //   = (a - [v]_q) * q_last^-1 + [v > q_last/2]   (mod q),
+    // since q_last * q_last^-1 = 1. [v]_q is the exact Shoup reduction
+    // with w = 1.
+    const simd::Ops &ops = simd::ops();
     poolOrGlobal(pool).parallelFor2D(batch, last, [&](std::size_t b,
                                                       std::size_t j) {
-        const Modulus &mod = tower.modulus(q_idx[j]);
-        u64 q = mod.value();
+        u64 q = tower.prime(front.limbIndex(j));
         const u64 *pl = as[b]->limb(last);
-        const u64 *pa = as[b]->limb(j);
-        u64 *po = out[b].limb(j);
-        for (std::size_t c = 0; c < n; ++c) {
-            u64 v = pl[c];
-            u64 lifted = v <= q_last / 2
-                ? v % q
-                : mod.sub(0, (q_last - v) % q);
-            po[c] = mulModShoup(mod.sub(pa[c], lifted), qinv[j],
-                                qinv_shoup[j], q);
+        u64 *pa = as[b]->limb(j);
+        u64 lifted[kRescaleBlock];
+        u64 upper[kRescaleBlock];
+        for (std::size_t c0 = 0; c0 < n; c0 += kRescaleBlock) {
+            std::size_t len = std::min(kRescaleBlock, n - c0);
+            std::copy(pl + c0, pl + c0 + len, lifted);
+            ops.mulShoup(lifted, 1, one_shoup[j], len, q);
+            ops.subSpan(pa + c0, lifted, len, q);
+            ops.mulShoup(pa + c0, qinv[j], qinv_shoup[j], len, q);
+            for (std::size_t c = 0; c < len; ++c)
+                upper[c] = pl[c0 + c] > q_last / 2;
+            ops.addSpan(pa + c0, upper, len, q);
         }
     });
+    for (std::size_t b = 0; b < batch; ++b)
+        as[b]->dropLastLimbs(1);
+}
+
+std::vector<RnsPolynomial>
+rescaleByLastLimbBatch(const std::vector<const RnsPolynomial *> &as,
+                       ThreadPool *pool)
+{
+    std::vector<RnsPolynomial> out;
+    out.reserve(as.size());
+    for (const RnsPolynomial *a : as)
+        out.push_back(*a);
+    std::vector<RnsPolynomial *> ptrs;
+    for (auto &p : out)
+        ptrs.push_back(&p);
+    rescaleByLastLimbInPlace(ptrs.data(), ptrs.size(), pool);
     return out;
+}
+
+RnsPolynomial
+rescaleByLastLimb(const RnsPolynomial &a)
+{
+    return std::move(rescaleByLastLimbBatch({&a})[0]);
 }
 
 } // namespace tensorfhe::rns

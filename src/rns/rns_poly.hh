@@ -81,6 +81,10 @@ class RnsPolynomial
     /** Keep only the first `count` limbs. */
     void truncateLimbs(std::size_t count);
 
+    /** Release storage beyond the current limbs: one reallocation
+        when an in-place rescale or a limb drop left spare capacity. */
+    void shrinkToFit() { data_.shrink_to_fit(); }
+
     /** Move every limb to Eval domain (no-op if already there). */
     void toEval(ntt::NttVariant v = ntt::NttVariant::Butterfly);
 

@@ -166,7 +166,8 @@ const Ops kAvx2Ops = {
     "avx2",           vec::addSpan<V>,      vec::subSpan<V>,
     vec::mulSpan<V>,  vec::mulTriple<V>,    vec::mulAccum<V>,
     vec::ipAccumLazy<V>, vec::mulShoup<V>,  vec::mulShoupAccum<V>,
-    vec::fusedEle<V>, nttForwardAvx2,       nttInverseAvx2,
+    vec::convAccum<V>, vec::fusedEle<V>,   nttForwardAvx2,
+    nttInverseAvx2,
 };
 
 } // namespace

@@ -67,7 +67,8 @@ const Ops kAvx512Ops = {
     "avx512",         vec::addSpan<V>,      vec::subSpan<V>,
     vec::mulSpan<V>,  vec::mulTriple<V>,    vec::mulAccum<V>,
     vec::ipAccumLazy<V>, vec::mulShoup<V>,  vec::mulShoupAccum<V>,
-    vec::fusedEle<V>, nttForwardAvx512,     nttInverseAvx512,
+    vec::convAccum<V>, vec::fusedEle<V>,   nttForwardAvx512,
+    nttInverseAvx512,
 };
 
 } // namespace

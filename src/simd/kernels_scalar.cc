@@ -7,6 +7,7 @@
  */
 
 #include "simd/simd.hh"
+#include "simd/vec_kernels.hh"
 
 namespace tensorfhe::simd
 {
@@ -93,6 +94,17 @@ mulShoupAccumScalar(u64 *acc, const u64 *src, u64 w, u64 wShoup,
 }
 
 void
+convAccumScalar(u64 *dst, const u64 *const *ys, const u64 *w,
+                const u64 * /*wShoup32*/, const u64 *wShoup64,
+                std::size_t s, std::size_t n, u64 q)
+{
+    // One lane for every prime size: beta = 2^64 Shoup products are
+    // exact for any source residue, and a u64 multiply costs the same
+    // as a 32-bit one here.
+    vec::convAccumCells(dst, ys, w, wShoup64, s, 0, n, q);
+}
+
+void
 fusedEleScalar(const EleIns *ins, std::size_t numIns, u16 result,
                u64 *o0, u64 *o1, const u64 *const *in0,
                const u64 *const *in1, const u64 *const *pts,
@@ -145,7 +157,8 @@ const Ops kScalarOps = {
     "scalar",        addSpanScalar,       subSpanScalar,
     mulSpanScalar,   mulTripleScalar,     mulAccumScalar,
     ipAccumLazyScalar, mulShoupScalar,    mulShoupAccumScalar,
-    fusedEleScalar,  nttDecline,          nttDecline,
+    convAccumScalar, fusedEleScalar,      nttDecline,
+    nttDecline,
 };
 
 } // namespace

@@ -3,7 +3,8 @@
  * Runtime-dispatched vector backend for modular arithmetic.
  *
  * Every u64 hot loop of the execution layer — the CT/GS NTT
- * butterflies and the span kernels of exec/kernels.cc — routes
+ * butterflies, the span kernels of exec/kernels.cc and the RNS basis
+ * conversion of rns/conv.cc — routes
  * through the function-pointer table returned by ops(). Three
  * backends implement it: a scalar fallback (the exact pre-SIMD
  * formulas), an AVX2 lane and an AVX-512 lane (which adds an
@@ -94,12 +95,29 @@ struct Ops
                         const Modulus &m, bool canonicalize);
 
     /** a[i] = a[i] * w mod q, w a fixed constant with its beta=2^64
-        Shoup companion. */
+        Shoup companion. a[i] may be any u64 (not only a residue):
+        the Shoup bound holds for inputs below 2^64, so w = 1 is an
+        exact reduction mod q. */
     void (*mulShoup)(u64 *a, u64 w, u64 wShoup, std::size_t n, u64 q);
 
     /** acc[i] = acc[i] + src[i] * w mod q (P-lift accumulate). */
     void (*mulShoupAccum)(u64 *acc, const u64 *src, u64 w, u64 wShoup,
                           std::size_t n, u64 q);
+
+    /**
+     * One target limb of an RNS basis conversion (the Conv kernel of
+     * ModUp/ModDown): dst[c] = sum_i ys[i][c] * w[i] mod q over
+     * s >= 1 source spans. ys[i][c] are residues of other primes, so
+     * they may be >= q; w[i] < q. wShoup64 holds the beta = 2^64
+     * Shoup companions; wShoup32, when non-null, the beta = 2^32 ones,
+     * and then every ys[i][c] and q must be < 2^32 (single 32x32
+     * products in the vector lanes). Terms are lazy [0, 2q) products
+     * summed in [0, 2q); the output is canonical. dst may alias a
+     * ys span (each cell reads only its own index).
+     */
+    void (*convAccum)(u64 *dst, const u64 *const *ys, const u64 *w,
+                      const u64 *wShoup32, const u64 *wShoup64,
+                      std::size_t s, std::size_t n, u64 q);
 
     /**
      * Fused elementwise register program over one limb: evaluates

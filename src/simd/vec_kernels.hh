@@ -141,7 +141,7 @@ struct GenBarrett
 };
 
 // ---------------------------------------------------------------
-// Shoup lazy-multiply policies (NTT butterflies)
+// Shoup lazy-multiply policies (NTT butterflies, Conv)
 // ---------------------------------------------------------------
 
 /** beta = 2^64, any q < 2^62: x < 4q -> x*w mod q + {0, q}, < 2q. */
@@ -395,6 +395,79 @@ mulShoupAccum(u64 *acc, const u64 *src, u64 w, u64 wShoup, std::size_t n,
     }
     for (; i < n; ++i)
         acc[i] = addMod(acc[i], mulModShoup(src[i], w, wShoup, q), q);
+}
+
+// ---------------------------------------------------------------
+// Basis conversion (Conv)
+// ---------------------------------------------------------------
+
+/**
+ * Cells [begin, end) of convAccum with beta = 2^64 Shoup products: the
+ * scalar backend's body and the vector lanes' tail. Any source residue
+ * is < 2^64, so every term is < 2q; the running sum stays in [0, 2q).
+ */
+inline void
+convAccumCells(u64 *dst, const u64 *const *ys, const u64 *w,
+               const u64 *wShoup64, std::size_t s, std::size_t begin,
+               std::size_t end, u64 q)
+{
+    for (std::size_t c = begin; c < end; ++c) {
+        u64 acc = mulModShoupLazy(ys[0][c], w[0], wShoup64[0], q);
+        for (std::size_t i = 1; i < s; ++i) {
+            acc += mulModShoupLazy(ys[i][c], w[i], wShoup64[i], q);
+            if (acc >= 2 * q)
+                acc -= 2 * q;
+        }
+        dst[c] = acc >= q ? acc - q : acc;
+    }
+}
+
+/** Vector cells of convAccum, two vectors per pass (body is a
+    multiple of 2W): the add/condSub chain across terms is serial, so
+    two independent accumulators hide its latency. MulT::lazy gives
+    x*w mod q + {0, q} for every source residue x the lane admits
+    (x < 2^32 for Shoup32, any x for Shoup64), so a term plus an
+    accumulator in [0, 2q) is < 4q and one conditional 2q subtraction
+    keeps the sum in [0, 2q). */
+template <class V, class MulT>
+void
+convAccumWith(u64 *dst, const u64 *const *ys, const u64 *w,
+              const u64 *wsh, std::size_t s, std::size_t body, u64 q)
+{
+    using reg = typename V::reg;
+    constexpr std::size_t W = V::W;
+    const reg qv = V::set1(q);
+    const reg q2 = V::set1(2 * q);
+    for (std::size_t c = 0; c < body; c += 2 * W) {
+        reg wv = V::set1(w[0]);
+        reg wsv = V::set1(wsh[0]);
+        reg acc0 = MulT::lazy(V::load(ys[0] + c), wv, wsv, qv);
+        reg acc1 = MulT::lazy(V::load(ys[0] + c + W), wv, wsv, qv);
+        for (std::size_t i = 1; i < s; ++i) {
+            wv = V::set1(w[i]);
+            wsv = V::set1(wsh[i]);
+            reg t0 = MulT::lazy(V::load(ys[i] + c), wv, wsv, qv);
+            reg t1 = MulT::lazy(V::load(ys[i] + c + W), wv, wsv, qv);
+            acc0 = V::condSub(V::add(acc0, t0), q2);
+            acc1 = V::condSub(V::add(acc1, t1), q2);
+        }
+        V::store(dst + c, V::condSub(acc0, qv));
+        V::store(dst + c + W, V::condSub(acc1, qv));
+    }
+}
+
+template <class V>
+void
+convAccum(u64 *dst, const u64 *const *ys, const u64 *w,
+          const u64 *wShoup32, const u64 *wShoup64, std::size_t s,
+          std::size_t n, u64 q)
+{
+    std::size_t body = n - n % (2 * V::W);
+    if (wShoup32)
+        convAccumWith<V, Shoup32<V>>(dst, ys, w, wShoup32, s, body, q);
+    else
+        convAccumWith<V, Shoup64<V>>(dst, ys, w, wShoup64, s, body, q);
+    convAccumCells(dst, ys, w, wShoup64, s, body, n, q);
 }
 
 // ---------------------------------------------------------------

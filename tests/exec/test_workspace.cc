@@ -244,9 +244,9 @@ TEST(Workspace, EvictsLeastRecentlyReturnedFirst)
 
 TEST(Workspace, DonationHeavyLoopKeepsAFlatFootprint)
 {
-    // Every multiply and rescale donates the storage it replaces, and
-    // rescale outputs come fresh from the allocator: an unbounded pool
-    // gains buffers each round.
+    // Every multiply donates the storage it replaces and detaches its
+    // outputs from the arena: an unbounded pool gains buffers each
+    // round. (Rescale works in place and neither donates nor leases.)
     ckks::CkksContext ctx(ckks::Presets::tiny());
     Rng rng(31);
     auto sk = ctx.generateSecretKey(rng);
@@ -274,8 +274,13 @@ TEST(Workspace, DonationHeavyLoopKeepsAFlatFootprint)
     EXPECT_GT(pooled_at_5, 0u);
     EXPECT_EQ(s.pooledBytes, pooled_at_5);
     EXPECT_GT(s.evictions, 0u);
-    // Donated and evicted buffers still count as returns.
-    EXPECT_GT(s.returns, s.allocs + s.reuses);
+    // Donated and evicted buffers still count as returns: a donation
+    // adds a return without a lease.
+    ws.donate(rns::RnsPolynomial::zeros(ctx.tower(), 1,
+                                        rns::Domain::Coeff));
+    auto d = ws.stats();
+    EXPECT_EQ(d.returns, s.returns + 1);
+    EXPECT_EQ(d.allocs + d.reuses, s.allocs + s.reuses);
 }
 
 TEST(Workspace, RepeatedDeepCnnRunsKeepPooledBytesFlat)

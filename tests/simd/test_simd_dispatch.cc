@@ -108,6 +108,7 @@ TEST(SimdDispatch, EveryCompiledVtableIsFullyPopulated)
         EXPECT_NE(t->ipAccumLazy, nullptr);
         EXPECT_NE(t->mulShoup, nullptr);
         EXPECT_NE(t->mulShoupAccum, nullptr);
+        EXPECT_NE(t->convAccum, nullptr);
         EXPECT_NE(t->fusedEle, nullptr);
         EXPECT_NE(t->nttForward, nullptr);
         EXPECT_NE(t->nttInverse, nullptr);

@@ -328,6 +328,89 @@ TEST_P(SimdSpanKernels, FusedEleProgramMatchesScalar)
 INSTANTIATE_TEST_SUITE_P(AllBackendsAllLanes, SimdSpanKernels,
                          ::testing::ValuesIn(allLanes()), laneName);
 
+// ------------------------------------------------------------- Conv
+
+/** One convAccum lane: source and target prime sizes and whether the
+    beta = 2^32 companions are passed (every prime < 2^32). */
+struct ConvLane
+{
+    int srcBits;
+    int dstBits;
+    bool shoup32;
+};
+
+/**
+ * convAccum: every vector backend equals the scalar backend bit for
+ * bit, and the scalar backend equals the exact u128 sum (21 terms of
+ * < 2^122 fit 128 bits). Covers s in {1, 2, 8, 21}, ragged n, source
+ * residues above the target prime (30- and 61-bit sources into a
+ * 28/29-bit target), the top of the Shoup32 lane (32-bit primes),
+ * targets >= 2^32 on the Shoup64 lane, and dst aliasing ys[0].
+ */
+TEST(SimdConvAccum, EveryBackendMatchesScalarAndTheExactSum)
+{
+    const ConvLane lanes[] = {{30, 28, true},
+                              {32, 32, true},
+                              {30, 45, false},
+                              {61, 29, false},
+                              {61, 61, false}};
+    Rng rng(11);
+    for (const ConvLane &lane : lanes) {
+        auto srcPrimes = generateNttPrimes(lane.srcBits, 21, 1 << 4);
+        u64 q = generateNttPrimes(lane.dstBits, 1, 1 << 4)[0];
+        for (std::size_t s : {std::size_t(1), std::size_t(2),
+                              std::size_t(8), std::size_t(21)}) {
+            std::vector<u64> w(s), w32(s), w64(s);
+            for (std::size_t i = 0; i < s; ++i) {
+                w[i] = rng.uniform(q);
+                w64[i] = shoupPrecompute(w[i], q);
+                w32[i] = shoupPrecomputeBeta(w[i], q, 32);
+            }
+            const u64 *w32p = lane.shoup32 ? w32.data() : nullptr;
+            for (std::size_t n : kLens) {
+                std::vector<std::vector<u64>> ys;
+                std::vector<const u64 *> yp;
+                for (std::size_t i = 0; i < s; ++i)
+                    ys.push_back(randomSpan(rng, n, srcPrimes[i]));
+                for (auto &y : ys)
+                    yp.push_back(y.data());
+                std::vector<u64> exact(n);
+                for (std::size_t c = 0; c < n; ++c) {
+                    u128 sum = 0;
+                    for (std::size_t i = 0; i < s; ++i)
+                        sum += static_cast<u128>(ys[i][c]) * w[i];
+                    exact[c] = static_cast<u64>(sum % q);
+                }
+                std::vector<u64> ref(n);
+                scalarOps()->convAccum(ref.data(), yp.data(), w.data(),
+                                       w32p, w64.data(), s, n, q);
+                ASSERT_EQ(ref, exact) << "scalar src" << lane.srcBits
+                                      << " q" << lane.dstBits
+                                      << " s=" << s << " n=" << n;
+                for (Backend b : vectorBackends()) {
+                    const Ops *vec = backendOps(b);
+                    std::vector<u64> got(n);
+                    vec->convAccum(got.data(), yp.data(), w.data(), w32p,
+                                   w64.data(), s, n, q);
+                    EXPECT_EQ(got, ref)
+                        << backendName(b) << " src" << lane.srcBits
+                        << " q" << lane.dstBits << " s=" << s
+                        << " n=" << n;
+
+                    // dst == ys[0]: each cell reads only its own index.
+                    auto saved = ys[0];
+                    vec->convAccum(ys[0].data(), yp.data(), w.data(),
+                                   w32p, w64.data(), s, n, q);
+                    EXPECT_EQ(ys[0], ref)
+                        << backendName(b) << " aliased s=" << s
+                        << " n=" << n;
+                    ys[0] = saved;
+                }
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------------
 // NTT: the vector butterflies with the folded bit-reverse permutation
 // against the scalar butterfly path, per backend / lane / length.
