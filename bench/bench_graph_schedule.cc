@@ -1,26 +1,29 @@
 /**
  * @file
- * Graph-compiled execution bench: eager op-by-op dispatch vs the AOT
- * kernel DAG (src/graph) on the two workloads with exploitable
- * structure — the LSTM cell step (fusable masked gate combine + two
- * independent gate matvecs) and the deep two-chunk CNN (independent
- * per-(out,in)-chunk block-matvec programs around an auto-spliced
- * bootstrap). Reports, per workload:
+ * Graph-compiled execution bench: the unfused schedule (one launch
+ * set per recorded op, the op-by-op baseline) vs the default fused,
+ * stream-scheduled schedule of the same AOT kernel DAG (src/graph) on
+ * the two workloads with exploitable structure — the LSTM cell step
+ * (fusable masked gate combine + two independent gate matvecs) and
+ * the deep two-chunk CNN (independent per-(out,in)-chunk
+ * block-matvec programs around an auto-spliced bootstrap). Reports,
+ * per workload:
  *
- *   - kernel launches: eager vs scheduled graph (fusion folds
+ *   - kernel launches: unfused vs scheduled graph (fusion folds
  *     elementwise trees into single span passes);
  *   - GPU-model replay: serialized cycles vs the stream-overlapped
  *     makespan (gpu::replayScheduledQueue) and the simulated stall
  *     fraction;
  *   - workspace arena reuse on a COLD first run, with and without
  *     GraphExecutor::prestageWorkspace;
- *   - bit-identity of the graph outputs against the eager run.
+ *   - bit-identity of the fused outputs against the unfused run.
  *
  * Usage: bench_graph_schedule [reps] [--json PATH]
  *                             [--trace PATH] [--metrics PATH]
  *   reps = wall-clock repetitions (default 3; CI smoke runs 1).
  *   --json PATH appends one machine-readable result object to PATH —
- *   the CI Release job collects BENCH_PR6.json this way.
+ *   the CI Release job collects BENCH_PR6.json this way (its
+ *   "eager" keys hold the unfused schedule's numbers).
  *   --trace PATH writes the whole run as Chrome trace-event JSON
  *   (nested workload -> graph node -> dispatcher op -> kernel spans,
  *   plus the GPU model's per-stream replay as its own process).
@@ -64,19 +67,19 @@ bitIdentical(const graph::Cts &a, const graph::Cts &b)
     return true;
 }
 
-/** One workload's eager-vs-graph comparison. */
+/** One workload's unfused-vs-scheduled comparison. */
 struct Comparison
 {
-    std::size_t eagerLaunches = 0;
+    std::size_t unfusedLaunches = 0;
     std::size_t graphLaunches = 0;
     std::size_t fusedGroups = 0;
     std::size_t fusedMembers = 0;
     int streamsUsed = 0;
     u64 serialCycles = 0;
     u64 makespanCycles = 0;
-    double eagerStallFraction = 0;
+    double unfusedStallFraction = 0;
     double graphStallFraction = 0;
-    double eagerSeconds = 0;
+    double unfusedSeconds = 0;
     double graphSeconds = 0;
     double coldReuseRate = 0;
     double prestagedReuseRate = 0;
@@ -87,11 +90,11 @@ struct Comparison
     double
     launchReduction() const
     {
-        return eagerLaunches == 0
+        return unfusedLaunches == 0
             ? 0.0
             : 1.0
                 - static_cast<double>(graphLaunches)
-                    / static_cast<double>(eagerLaunches);
+                    / static_cast<double>(unfusedLaunches);
     }
 
     double
@@ -108,9 +111,9 @@ void
 printComparison(const char *name, const Comparison &c)
 {
     bench::section(name);
-    std::printf("  launches: eager %zu -> graph %zu  (-%.1f%%; "
+    std::printf("  launches: unfused %zu -> graph %zu  (-%.1f%%; "
                 "%zu member ops in %zu fused groups)\n",
-                c.eagerLaunches, c.graphLaunches,
+                c.unfusedLaunches, c.graphLaunches,
                 100.0 * c.launchReduction(), c.fusedMembers,
                 c.fusedGroups);
     std::printf("  GPU replay: serial %llu cyc -> makespan %llu cyc "
@@ -118,17 +121,17 @@ printComparison(const char *name, const Comparison &c)
                 static_cast<unsigned long long>(c.serialCycles),
                 static_cast<unsigned long long>(c.makespanCycles),
                 c.overlapSpeedup(), c.streamsUsed);
-    std::printf("  stall fraction: eager %.1f%% -> graph %.1f%%\n",
-                100.0 * c.eagerStallFraction,
+    std::printf("  stall fraction: unfused %.1f%% -> graph %.1f%%\n",
+                100.0 * c.unfusedStallFraction,
                 100.0 * c.graphStallFraction);
-    std::printf("  wall: eager %s -> graph %s per run\n",
-                fmtSeconds(c.eagerSeconds).c_str(),
+    std::printf("  wall: unfused %s -> graph %s per run\n",
+                fmtSeconds(c.unfusedSeconds).c_str(),
                 fmtSeconds(c.graphSeconds).c_str());
     std::printf("  cold workspace reuse: %.1f%% bare -> %.1f%% "
                 "prestaged\n",
                 100.0 * c.coldReuseRate,
                 100.0 * c.prestagedReuseRate);
-    std::printf("  bit-identical to eager: %s\n",
+    std::printf("  bit-identical to unfused: %s\n",
                 c.identical ? "yes" : "NO (BUG)");
 }
 
@@ -137,7 +140,7 @@ addJson(bench::JsonWriter &json, const std::string &prefix,
         const Comparison &c)
 {
     json.add(prefix + "_eager_launches",
-             static_cast<double>(c.eagerLaunches))
+             static_cast<double>(c.unfusedLaunches))
         .add(prefix + "_graph_launches",
              static_cast<double>(c.graphLaunches))
         .add(prefix + "_launch_reduction", c.launchReduction())
@@ -151,9 +154,9 @@ addJson(bench::JsonWriter &json, const std::string &prefix,
         .add(prefix + "_makespan_cycles",
              static_cast<double>(c.makespanCycles))
         .add(prefix + "_overlap_speedup", c.overlapSpeedup())
-        .add(prefix + "_eager_stall_fraction", c.eagerStallFraction)
+        .add(prefix + "_eager_stall_fraction", c.unfusedStallFraction)
         .add(prefix + "_graph_stall_fraction", c.graphStallFraction)
-        .add(prefix + "_eager_s", c.eagerSeconds)
+        .add(prefix + "_eager_s", c.unfusedSeconds)
         .add(prefix + "_graph_s", c.graphSeconds)
         .add(prefix + "_cold_reuse_rate", c.coldReuseRate)
         .add(prefix + "_prestaged_reuse_rate", c.prestagedReuseRate)
@@ -161,37 +164,33 @@ addJson(bench::JsonWriter &json, const std::string &prefix,
 }
 
 /**
- * Run the comparison given closures for the eager run (returns the
- * flat output batch) and the prepared graph executor + inputs.
+ * Run the comparison of the unfused reference schedule against the
+ * fused one over the same inputs; `flatten` joins a run's outputs.
  */
 Comparison
 compareWorkload(const nn::NnEngine &engine, std::size_t n, int reps,
-                const std::function<graph::Cts()> &eager,
+                const graph::GraphExecutor &unfused,
                 const graph::GraphExecutor &ex,
                 const std::vector<graph::Cts> &inputs,
                 const std::function<graph::Cts(graph::ExecResult &)>
-                    &flattenOutputs)
+                    &flatten)
 {
     Comparison c;
-    auto &stats = KernelStats::instance();
 
     // Warm the plan/diagonal caches on both paths so the captures
     // compare schedules, not first-run plan builds.
-    (void)eager();
+    (void)unfused.run(engine, inputs);
     (void)ex.run(engine, inputs);
 
-    // Eager capture.
-    stats.startQueue();
-    auto eager_out = eager();
-    auto eager_queue = stats.stopQueue();
-    c.eagerLaunches = eager_queue.size();
-    c.eagerStallFraction =
-        gpu::sumBreakdowns(gpu::simulateKernelQueue(eager_queue, n))
-            .totalStallFraction();
-
-    // Graph capture + overlapped replay.
+    // Unfused capture.
     graph::ExecOptions cap;
     cap.captureSchedule = true;
+    auto ref = unfused.run(engine, inputs, cap);
+    c.unfusedLaunches = ref.launchCount;
+    c.unfusedStallFraction =
+        gpu::replayScheduledQueue(ref.schedule, n).totalStallFraction();
+
+    // Graph capture + overlapped replay.
     auto res = ex.run(engine, inputs, cap);
     c.graphLaunches = res.launchCount;
     c.fusedGroups = ex.schedule().fusedGroups;
@@ -201,7 +200,7 @@ compareWorkload(const nn::NnEngine &engine, std::size_t n, int reps,
     c.serialCycles = replay.serialCycles;
     c.makespanCycles = replay.makespanCycles;
     c.graphStallFraction = replay.totalStallFraction();
-    c.identical = bitIdentical(flattenOutputs(res), eager_out);
+    c.identical = bitIdentical(flatten(res), flatten(ref));
     // One trace lane per model stream (1 cycle rendered as 1 ns).
     c.gpuLanes.reserve(res.schedule.size());
     for (std::size_t i = 0; i < res.schedule.size(); ++i) {
@@ -212,7 +211,8 @@ compareWorkload(const nn::NnEngine &engine, std::size_t n, int reps,
     }
 
     // Wall clock.
-    c.eagerSeconds = bench::timeMean(reps, [&] { (void)eager(); });
+    c.unfusedSeconds =
+        bench::timeMean(reps, [&] { (void)unfused.run(engine, inputs); });
     c.graphSeconds =
         bench::timeMean(reps, [&] { (void)ex.run(engine, inputs); });
 
@@ -247,8 +247,8 @@ main(int argc, char **argv)
     if (reps < 1)
         reps = 1;
 
-    bench::banner("bench_graph_schedule — AOT kernel DAG vs eager "
-                  "dispatch (reps=" + std::to_string(reps) + ")");
+    bench::banner("bench_graph_schedule — fused vs unfused AOT kernel "
+                  "DAG (reps=" + std::to_string(reps) + ")");
 
     obs.armIfRequested();
 
@@ -281,26 +281,20 @@ main(int argc, char **argv)
         workloads::EncryptedLstmCell::State prev{enc_state(2),
                                                  enc_state(3)};
 
+        auto plain_g = cell.buildStepGraph(ctx);
+        graph::GraphExecutor unfused(
+            plain_g, graph::scheduleGraph(plain_g, {.fuse = false}));
         auto g = cell.buildStepGraph(ctx);
-        auto sched = graph::scheduleGraph(g);
-        graph::GraphExecutor ex(g, sched);
+        graph::GraphExecutor ex(g, graph::scheduleGraph(g));
         std::vector<graph::Cts> inputs{x.chunks(), prev.h.chunks(),
                                        prev.c.chunks()};
 
         lstm = compareWorkload(
-            engine, ctx.params().n, reps,
-            [&] {
-                auto out = cell.step(engine, x, prev);
-                graph::Cts flat = out.h.chunks();
-                for (const auto &ct : out.c.chunks())
-                    flat.push_back(ct);
-                return flat;
-            },
-            ex, inputs,
+            engine, ctx.params().n, reps, unfused, ex, inputs,
             [](graph::ExecResult &r) {
-                graph::Cts flat = std::move(r.outputs[0]);
-                for (auto &ct : r.outputs[1])
-                    flat.push_back(std::move(ct));
+                graph::Cts flat = r.outputs[0];
+                for (const auto &ct : r.outputs[1])
+                    flat.push_back(ct);
                 return flat;
             });
         printComparison("LSTM cell step (dim=8, degree-3 gates)",
@@ -334,21 +328,16 @@ main(int argc, char **argv)
         auto t = nn::encryptTensor(ctx, enc, rng, img, meta.shape,
                                    meta.levelCount);
 
+        auto plain_g = graph::compileSequential(ctx, net.net());
+        graph::GraphExecutor unfused(
+            plain_g, graph::scheduleGraph(plain_g, {.fuse = false}));
         auto g = graph::compileSequential(ctx, net.net());
-        auto sched = graph::scheduleGraph(g);
-        graph::GraphExecutor ex(g, sched);
+        graph::GraphExecutor ex(g, graph::scheduleGraph(g));
         std::vector<graph::Cts> inputs{t.chunks()};
 
         cnn = compareWorkload(
-            engine, ctx.params().n, reps,
-            [&] {
-                auto out = net.net().run(engine, t);
-                return out.chunks();
-            },
-            ex, inputs,
-            [](graph::ExecResult &r) {
-                return std::move(r.outputs[0]);
-            });
+            engine, ctx.params().n, reps, unfused, ex, inputs,
+            [](graph::ExecResult &r) { return r.outputs[0]; });
         printComparison(
             "deep CNN (2-chunk block matvecs + bootstrap)", cnn);
     }

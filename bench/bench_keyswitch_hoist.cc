@@ -339,8 +339,11 @@ main(int argc, char **argv)
     stats.startQueue();
     (void)plan.apply(eval, ct3);
     auto queue = stats.stopQueue();
-    auto breakdowns = gpu::simulateKernelQueue(queue, params.n);
-    auto total = gpu::sumBreakdowns(breakdowns);
+    std::vector<gpu::ScheduledLaunch> serial;
+    for (const auto &launch : queue)
+        serial.push_back({launch, 0, {}});
+    auto total = gpu::sumBreakdowns(
+        gpu::replayScheduledQueue(serial, params.n).perLaunch);
     std::printf("  kernel queue: %zu launches, simulated stall "
                 "fraction %.1f%%\n",
                 queue.size(), 100.0 * total.totalStallFraction());

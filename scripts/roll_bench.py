@@ -18,7 +18,9 @@ headline metrics:
       win, overlap speedup, launch reduction) fail on a >15% relative
       regression; overhead-style headlines are gated against their
       absolute budget (wall-clock noise on shared runners makes
-      relative gating of near-zero overheads meaningless).
+      relative gating of near-zero overheads meaningless). A headline
+      the baseline records but the fresh dumps do not measure fails
+      the check too: a gate never drops silently.
 
 Stdlib only — runs on the bare CI python.
 """
@@ -170,14 +172,18 @@ def cmd_check(args):
         if not ok:
             failures.append(name)
 
-    missing = [n for n in base if n not in fresh]
-    for name in sorted(missing):
+    missing = sorted(n for n in base if n not in fresh)
+    for name in missing:
         print(f"{name:34} {base[name]:>12.4f} {'-':>12}  "
-              "not measured this run (skipped)")
+              "NOT MEASURED this run")
 
-    if failures:
-        print(f"\nFAIL: {len(failures)} headline metric(s) regressed: "
-              + ", ".join(failures))
+    if failures or missing:
+        if failures:
+            print(f"\nFAIL: {len(failures)} headline metric(s) "
+                  "regressed: " + ", ".join(failures))
+        if missing:
+            print(f"\nFAIL: {len(missing)} baseline headline(s) not "
+                  "measured: " + ", ".join(missing))
         return 1
     print(f"\nOK: {len(fresh)} headline metric(s) within tolerance")
     return 0

@@ -160,9 +160,10 @@ Evaluator::dropToLevelCount(const Ciphertext &a,
 {
     requireArg(level_count >= 1 && level_count <= a.levelCount(),
                "bad target level");
-    Ciphertext out = a;
-    out.c0.truncateLimbs(level_count);
-    out.c1.truncateLimbs(level_count);
+    Ciphertext out;
+    out.c0 = a.c0.firstLimbs(level_count);
+    out.c1 = a.c1.firstLimbs(level_count);
+    out.scale = a.scale;
     return out;
 }
 

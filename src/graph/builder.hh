@@ -1,7 +1,6 @@
 /**
  * @file
- * GraphBuilder: records an op stream into a graph::Graph, and the
- * layer lowering that compiles an nn::Sequential AOT into one.
+ * GraphBuilder: records an op stream into a graph::Graph.
  *
  * Every builder method mirrors one batch::BatchedEvaluator call and
  * propagates the value meta (level count, scale) with the SAME
@@ -12,13 +11,13 @@
  * such an edge (tests build deliberately-mismatched graphs to pin
  * that refusal down without executing anything).
  *
- * lowerLayer() translates one compiled nn::Layer into primitive
- * nodes by replaying the layer's apply() schedule symbolically:
- * matvec layers become per-out-chunk BsgsSum nodes (independent
- * branches the scheduler can overlap), activations become their
- * power-ladder node chains, Bootstrap stays opaque (LayerApply).
- * compileSequential() runs lowerLayer over a compiled model and is
- * the graph counterpart of Sequential::run.
+ * Layers write their schedule once, as nn::Layer::lower() calls on a
+ * builder: matvec layers record per-out-chunk BsgsSum nodes
+ * (independent branches the scheduler can overlap), activations
+ * their power-ladder node chains, Bootstrap one opaque node. Running
+ * a layer (nn::Layer::apply, nn::Sequential::run) executes the
+ * lowered graph, and its op model is graph::modeledOps over the same
+ * nodes. compileSequential() lowers a compiled model step by step.
  */
 
 #ifndef TENSORFHE_GRAPH_BUILDER_HH
@@ -69,8 +68,14 @@ class GraphBuilder
     ValueId bsgsSum(
         std::vector<const boot::LinearTransformPlan *> plans,
         const std::vector<ValueId> &term_inputs);
-    /** Opaque layer application (Bootstrap). */
-    ValueId layerApply(const nn::Layer &layer, ValueId a);
+    /** Opaque bootstrap refresh (nn::Bootstrap::refresh). */
+    ValueId bootstrap(const nn::Bootstrap &layer, ValueId a);
+
+    /** Stamp every node recorded from here on with a new named step
+        (Graph::steps), until endStep(). */
+    void beginStep(std::string name);
+    /** Close the open step at its result value. */
+    void endStep(ValueId out);
 
     /** Mark a graph output (kept alive, never fused away). */
     void output(ValueId v);
@@ -88,21 +93,14 @@ class GraphBuilder
 
     const ckks::CkksContext *ctx_;
     Graph g_;
+    std::size_t step_ = kNoStep;
 };
 
 /**
- * Lower one compiled layer: consumes the value holding the layer's
- * input batch (flat, layer.inputMeta().chunkCount chunks per sample)
- * and returns the value holding its output batch. The layer must
- * outlive the graph (nodes point into its plans and plaintexts).
- */
-ValueId lowerLayer(GraphBuilder &b, const nn::Layer &layer,
-                   ValueId in);
-
-/**
- * Compile a compiled nn::Sequential into a one-input, one-output
- * graph — the AOT counterpart of Sequential::run. The model must
- * outlive the graph.
+ * Lower a compiled nn::Sequential into a one-input, one-output graph:
+ * one named step per ExecutionPlan step, each the step's layer
+ * lower(). Sequential::compile schedules one of these and run()
+ * executes it. The model's layers must outlive the graph.
  */
 Graph compileSequential(const ckks::CkksContext &ctx,
                         const nn::Sequential &seq);

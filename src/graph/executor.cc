@@ -1,6 +1,7 @@
 #include "graph/executor.hh"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -146,9 +147,9 @@ executeNode(const nn::NnEngine &engine, const Graph &g, const Node &n,
               progs.data(), ins.data(), terms, b);
           break;
       }
-      case NodeKind::LayerApply:
+      case NodeKind::Bootstrap:
         vals[n.outputs[0]] =
-            n.layer->apply(engine, vals[n.inputs[0]]);
+            n.bootstrap->refresh(engine, vals[n.inputs[0]]);
         break;
       case NodeKind::FusedEle: {
           const Cts &base = vals[n.inputs[0]];
@@ -186,16 +187,14 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
     for (std::size_t i = 0; i < g.inputs.size(); ++i)
         input_index[g.inputs[i]] = i;
 
-    // Checkpoint plan: cut positions and the liveness that decides
-    // what each snapshot must carry.
+    // Checkpoint plan: cut positions (lastUse_ decides what each
+    // snapshot must carry).
     std::vector<std::size_t> cuts;
-    std::vector<std::size_t> lastUse;
     if (opt.checkpointEvery > 0) {
         requireArg(opt.checkpointLog != nullptr,
                    "checkpointEvery > 0 requires a checkpointLog");
         cuts = resilience::chooseCutPoints(g, sched_,
                                            opt.checkpointEvery);
-        lastUse = resilience::valueLastUse(g, sched_);
     }
     auto cutIt =
         std::lower_bound(cuts.begin(), cuts.end(), startPos);
@@ -203,11 +202,28 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
     ExecResult res;
     // Per-node queue indices the node's output depends on.
     std::vector<std::vector<std::size_t>> last(g.nodes.size());
+    // One span per run of nodes stamped with the same named step.
+    std::unique_ptr<trace::TraceSpan> stepSpan;
+    std::size_t openStep = kNoStep;
 
     for (std::size_t pos = startPos; pos < sched_.order.size();
          ++pos) {
         NodeId id = sched_.order[pos];
         const Node &n = g.nodes[id];
+
+        if (n.step != openStep) {
+            stepSpan.reset();
+            openStep = n.step;
+            if (openStep != kNoStep) {
+                const Step &st = g.steps[openStep];
+                const ValueMeta &out = g.values[st.output];
+                stepSpan =
+                    std::make_unique<trace::TraceSpan>("nn", st.name);
+                stepSpan
+                    ->arg("chunks", static_cast<s64>(out.chunkCount))
+                    .arg("level", static_cast<s64>(out.levelCount));
+            }
+        }
 
         // Append the attempt's captured launches to the schedule,
         // stream-tagged, first launch gated on every producer.
@@ -295,22 +311,23 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
 
                 executeNode(engine, g, n, vals);
 
-                // Produce side: validate against the compiled meta
-                // and seal with a digest.
+                // Produce side: every output must land at its
+                // compiled level and scale (drift is corruption of
+                // the evaluation itself); paranoid mode also seals
+                // it with a digest.
                 for (ValueId v : n.outputs) {
                     Cts &out = vals[v];
                     if (opt.paranoid)
                         sums[v].clear();
                     for (auto &ct : out) {
                         TFHE_FAULT_POINT_CT("graph/node-output", ct);
-                        if (!opt.paranoid)
-                            continue;
                         resilience::checkCtMeta(
                             ct, g.values[v].levelCount,
                             g.values[v].scale, "graph/node-output",
                             id);
-                        sums[v].push_back(resilience::validateCt(
-                            ct, "graph/node-output", id));
+                        if (opt.paranoid)
+                            sums[v].push_back(resilience::validateCt(
+                                ct, "graph/node-output", id));
                     }
                 }
 
@@ -369,6 +386,13 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
             }
         }
 
+        // Release the inputs this node was the last consumer of.
+        for (ValueId v : n.inputs)
+            if (lastUse_[v] == pos) {
+                vals[v].clear();
+                sums[v].clear();
+            }
+
         if (cutIt != cuts.end() && *cutIt == pos) {
             ++cutIt;
             trace::TraceSpan cpSpan("graph", "checkpoint");
@@ -379,7 +403,7 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
             cp.resumeIndex = pos + 1;
             cp.graphNodes = g.nodes.size();
             for (ValueId v = 0; v < g.values.size(); ++v) {
-                if (vals[v].empty() || lastUse[v] <= pos)
+                if (vals[v].empty() || lastUse_[v] <= pos)
                     continue;
                 cp.valueIds.push_back(v);
                 cp.values.push_back(vals[v]);

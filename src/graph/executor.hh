@@ -1,9 +1,11 @@
 /**
  * @file
- * GraphExecutor: runs a scheduled graph through the SAME evaluator
- * entry points the eager path uses — bit-identity with eager
- * execution is by construction, not by tolerance (the tests compare
- * raw residue limbs). What the graph adds over eager:
+ * GraphExecutor: runs a scheduled graph, one batch::BatchedEvaluator
+ * / exec::Dispatcher call per node. It is the only executor: layers
+ * (nn::Layer::apply), models (nn::Sequential::run) and the LSTM cell
+ * step all run their lowered graphs here. A fused and an unfused
+ * schedule of one graph are bit-identical by construction, not by
+ * tolerance (the tests compare raw residue limbs):
  *
  *   - FusedEle nodes run one exec::Dispatcher::fusedElementwise span
  *     pass instead of N member launches (fewer kernel launches, same
@@ -12,6 +14,8 @@
  *     and tagged with the scheduler's stream plus explicit
  *     dependencies, producing the gpu::ScheduledLaunch queue that
  *     gpu::replayScheduledQueue overlaps on the GPU model;
+ *   - each value is released after its last consumer runs, so a
+ *     run holds only the live frontier, not every intermediate;
  *   - prestageWorkspace() walks the graph's scratch demand once and
  *     seeds the exec::Workspace arena, so even the first run of a
  *     compiled graph hits steady-state (>90%) buffer reuse.
@@ -25,11 +29,15 @@
  *     successful retry is bit-identical to an uninterrupted run; the
  *     failed attempt's EvalOpStats are rolled back and its captured
  *     launches discarded, so the accounting is identical too.
- *   - paranoid mode validates every value crossing a node boundary
- *     (residues < q_i, metadata against the compiled ValueMeta) and
- *     keeps per-chunk checksums, re-verified when a value is
- *     consumed: at-rest corruption raises IntegrityError with the
- *     node attached instead of decrypting to a silently wrong logit.
+ *   - every node output is checked against its compiled ValueMeta
+ *     (level count and scale) in every mode: drift raises
+ *     IntegrityError with the node attached;
+ *   - paranoid mode also validates residues (< q_i) at every node
+ *     boundary and keeps per-chunk checksums, re-verified when a
+ *     value is consumed: at-rest corruption raises IntegrityError
+ *     instead of decrypting to a silently wrong logit.
+ *   - nodes stamped with a named step (Graph::steps) run inside one
+ *     "nn"/<step name> trace span per contiguous run.
  *   - checkpointEvery > 0 snapshots the live value set at
  *     scheduler-chosen minimum-footprint cuts; resumeFrom() verifies
  *     the snapshot's checksums and re-executes only the nodes
@@ -89,7 +97,8 @@ class GraphExecutor
 {
   public:
     GraphExecutor(const Graph &g, Schedule sched)
-        : g_(&g), sched_(std::move(sched))
+        : g_(&g), sched_(std::move(sched)),
+          lastUse_(resilience::valueLastUse(g, sched_))
     {}
 
     /**
@@ -135,6 +144,9 @@ class GraphExecutor
 
     const Graph *g_;
     Schedule sched_;
+    /// Schedule position of each value's last consumer: a value is
+    /// released once it has run.
+    std::vector<std::size_t> lastUse_;
 };
 
 } // namespace tensorfhe::graph

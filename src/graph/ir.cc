@@ -24,11 +24,70 @@ nodeKindName(NodeKind k)
       case NodeKind::Unpack: return "Unpack";
       case NodeKind::Pack: return "Pack";
       case NodeKind::BsgsSum: return "BsgsSum";
-      case NodeKind::LayerApply: return "LayerApply";
+      case NodeKind::Bootstrap: return "Bootstrap";
       case NodeKind::FusedEle: return "FusedEle";
       case NodeKind::MulPlainRescale: return "MulPlainRescale";
       default: TFHE_ASSERT(false); return "?";
     }
+}
+
+EvalOpCounts
+modeledOps(const Graph &g)
+{
+    EvalOpCounts total;
+    for (const auto &n : g.nodes) {
+        EvalOpCounts op;
+        switch (n.kind) {
+          case NodeKind::Add:
+          case NodeKind::Sub:
+          case NodeKind::AddPlain:
+          case NodeKind::AddConst:
+            op.hadd = 1;
+            break;
+          case NodeKind::MulPlain:
+            op.cmult = 1;
+            break;
+          case NodeKind::MulConstToScale:
+            op.cmult = 1;
+            op.rescale = 1;
+            break;
+          case NodeKind::Rescale:
+            op.rescale = 1;
+            break;
+          case NodeKind::Multiply:
+            // HMULT relinearizes through one key-switch head + tail.
+            op.hmult = 1;
+            op.ksHoist = 1;
+            op.ksTail = 1;
+            break;
+          case NodeKind::RotateMany: {
+              // One hoisted head shared by every step's tail.
+              auto r = static_cast<double>(n.steps.size());
+              op.hrotate = r;
+              op.ksHoist = 1;
+              op.ksTail = r;
+              break;
+          }
+          case NodeKind::BsgsSum:
+            for (const auto *p : n.plans)
+                op += p->modeledAccumOps();
+            op.hadd -= 1; // the first term initializes the accumulator
+            op.rescale += 1;
+            break;
+          case NodeKind::Bootstrap:
+            total += n.bootstrap->refreshOps();
+            continue;
+          default:
+            // Input / Drop / SetScale / Unpack / Pack run no
+            // evaluator op; FusedEle / MulPlainRescale are counted
+            // through their members.
+            continue;
+        }
+        auto chunks = static_cast<double>(
+            g.values[n.outputs[0]].chunkCount);
+        total += chunks * op;
+    }
+    return total;
 }
 
 } // namespace tensorfhe::graph

@@ -9,13 +9,14 @@
  * sample, laid out sample-major `[s * chunkCount + c]`, exactly the
  * flattening nn::Sequential::run uses). Nodes are the primitives of
  * the unified exec/batch layer — every node kind maps 1:1 onto a
- * batch::BatchedEvaluator / exec::Dispatcher entry point, so graph
- * execution is BIT-IDENTICAL to the eager calls it was compiled
- * from: same kernels, same operand order, same scale arithmetic,
- * same EvalOpStats accounting.
+ * batch::BatchedEvaluator / exec::Dispatcher entry point, so every
+ * schedule of a graph is BIT-IDENTICAL to running its nodes one
+ * evaluator call at a time: same kernels, same operand order, same
+ * scale arithmetic, same EvalOpStats accounting. Layers record their
+ * schedules here (nn::Layer::lower), and every model runs as a graph.
  *
- * The graph exists so a scheduler can do what eager call-by-call
- * execution cannot:
+ * The graph exists so a scheduler can do what call-by-call execution
+ * cannot:
  *   - FUSE adjacent elementwise launches (Add/Sub/AddPlain/MulPlain
  *     chains) into one FusedEle span pass (exec::FusedSpec);
  *   - OVERLAP independent branches (the per-out-chunk BsgsSum
@@ -32,11 +33,15 @@
  * Lifetime: nodes hold non-owning pointers into the compiled layers
  * they were lowered from (plaintext masks/biases, BSGS plans, the
  * opaque bootstrap layer). The layer objects must outlive the graph.
+ *
+ * modeledOps() folds a graph's nodes into the executed-op counts of
+ * one sample; it is the only op model of a lowered schedule.
  */
 
 #ifndef TENSORFHE_GRAPH_IR_HH
 #define TENSORFHE_GRAPH_IR_HH
 
+#include <string>
 #include <vector>
 
 #include "boot/linear.hh"
@@ -53,6 +58,9 @@ using NodeId = std::size_t;
 
 /** Producer sentinel of graph-input values. */
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
+
+/** Step stamp of nodes recorded outside any named step. */
+inline constexpr std::size_t kNoStep = static_cast<std::size_t>(-1);
 
 /** Node vocabulary; each kind names the evaluator entry it runs. */
 enum class NodeKind : int
@@ -72,7 +80,7 @@ enum class NodeKind : int
     Unpack,          ///< flat [s*k+c] -> k per-chunk values
     Pack,            ///< k per-chunk values -> flat [s*k+c]
     BsgsSum,         ///< Dispatcher::applyBsgsSum over term chunks
-    LayerApply,      ///< opaque nn::Layer::apply (Bootstrap)
+    Bootstrap,       ///< opaque nn::Bootstrap::refresh
     FusedEle,        ///< scheduler-emitted fused elementwise chain
     MulPlainRescale, ///< scheduler-emitted fused CMULT+RESCALE
     NumKinds
@@ -114,14 +122,24 @@ struct Node
     std::vector<s64> steps;
     /// BsgsSum: plan of term t, applied to input value t's batch.
     std::vector<const boot::LinearTransformPlan *> plans;
-    /// LayerApply target (non-owning).
-    const nn::Layer *layer = nullptr;
+    /// Bootstrap target (non-owning).
+    const nn::Bootstrap *bootstrap = nullptr;
     /// FusedEle register program + its plaintext table.
     exec::FusedSpec fused;
     std::vector<const ckks::Plaintext *> fusedPts;
 
     /// Folded into a FusedEle group; never executed.
     bool dead = false;
+    /// Index into Graph::steps of the step that recorded the node.
+    std::size_t step = kNoStep;
+};
+
+/** A named stretch of the op stream (one nn plan step): the executor
+    runs its nodes inside one "nn" trace span. */
+struct Step
+{
+    std::string name;
+    ValueId output = 0; ///< the step's result (span args)
 };
 
 struct Graph
@@ -130,6 +148,7 @@ struct Graph
     std::vector<ValueMeta> values;
     std::vector<ValueId> inputs;  ///< binding order of run() inputs
     std::vector<ValueId> outputs; ///< order of run() results
+    std::vector<Step> steps;
 
     std::size_t
     liveNodeCount() const
@@ -141,6 +160,15 @@ struct Graph
         return n;
     }
 };
+
+/**
+ * Executed-op counts of one sample run through `g`: each node
+ * contributes its evaluator call's EvalOpStats record times its
+ * value's chunk count. Fused nodes are skipped and their (dead)
+ * members counted instead, so a scheduled and an unscheduled graph
+ * fold alike; a Bootstrap node defers to Bootstrap::refreshOps.
+ */
+EvalOpCounts modeledOps(const Graph &g);
 
 } // namespace tensorfhe::graph
 

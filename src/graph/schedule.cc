@@ -41,7 +41,7 @@ ctCtLegal(const Graph &g, const Node &n)
  * Generates the FusedSpec register program for the expression tree
  * rooted at `root` whose internal nodes are `group`. Postorder walk;
  * every ct-ct op computes into its FIRST operand's register (so the
- * scale replay keeps the destination's scale, exactly like the eager
+ * scale replay keeps the destination's scale, exactly like an unfused
  * HADD), and right-operand registers return to the free list.
  */
 struct FusedCodegen
@@ -231,6 +231,7 @@ mulRescaleFusePass(Graph &g, Schedule &sched)
         f.inputs = g.nodes[p].inputs;
         f.outputs = rn.outputs;
         f.pt = g.nodes[p].pt;
+        f.step = rn.step;
         g.nodes.push_back(std::move(f));
         NodeId fid = g.nodes.size() - 1;
         g.values[g.nodes[fid].outputs[0]].producer = fid;
@@ -275,6 +276,7 @@ fusePass(Graph &g, Schedule &sched)
         f.outputs = g.nodes[i].outputs;
         f.fused = std::move(cg.spec);
         f.fusedPts = std::move(cg.pts);
+        f.step = g.nodes[i].step;
         g.nodes.push_back(std::move(f));
         NodeId fid = g.nodes.size() - 1;
         g.values[g.nodes[fid].outputs[0]].producer = fid;

@@ -6,6 +6,8 @@
 #include "ckks/rotations.hh"
 #include "common/logging.hh"
 #include "common/modarith.hh"
+#include "graph/builder.hh"
+#include "graph/executor.hh"
 #include "perf/cost.hh"
 
 namespace tensorfhe::nn
@@ -58,6 +60,29 @@ Layer::rebind(const ckks::CkksContext &ctx, const TensorMeta &in)
     return compile(ctx, in);
 }
 
+Cts
+Layer::apply(const NnEngine &engine, const Cts &in) const
+{
+    requireCompiled();
+    requireArg(!in.empty(), name(), ": empty batch");
+    graph::GraphBuilder b(engine.ctx());
+    b.output(lower(b, b.input(in_.chunkCount, in[0].levelCount(),
+                              in[0].scale)));
+    auto g = b.take();
+    graph::GraphExecutor ex(g, graph::scheduleGraph(g));
+    return std::move(ex.run(engine, {in}).outputs[0]);
+}
+
+EvalOpCounts
+Layer::modeledOps() const
+{
+    requireCompiled();
+    graph::GraphBuilder b(*ctx_);
+    b.output(lower(b, b.input(in_.chunkCount, in_.levelCount,
+                              in_.scale)));
+    return graph::modeledOps(b.take());
+}
+
 // ------------------------------------------------------------------
 // MatvecLayer
 
@@ -65,6 +90,7 @@ TensorMeta
 MatvecLayer::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
 {
     requireArg(!compiled_, "layer compiled twice");
+    ctx_ = &ctx;
     std::size_t slots = ctx.slots();
     requireArg(in.chunkCount >= 1, name(), " needs >= 1 input chunk");
     requireArg(in.layout.slotSpan(in.shape) <= in.chunkCount * slots,
@@ -181,62 +207,31 @@ MatvecLayer::blockPlan(std::size_t out_chunk,
     return blocks_[out_chunk][in_chunk].get();
 }
 
-Cts
-MatvecLayer::apply(const NnEngine &engine, const Cts &in) const
+graph::ValueId
+MatvecLayer::lower(graph::GraphBuilder &b, graph::ValueId in) const
 {
     requireCompiled();
-    std::size_t in_chunks = in_.chunkCount;
-    std::size_t out_chunks = out_.chunkCount;
-    requireArg(!in.empty() && in.size() % in_chunks == 0,
-               name(), " batch is not a multiple of the chunk count");
-    std::size_t batch = in.size() / in_chunks;
-    std::size_t lc = in[0].levelCount();
-    const auto &beval = engine.batched();
-
-    Cts out(batch * out_chunks);
-    for (std::size_t i = 0; i < out_chunks; ++i) {
-        // One applyBsgsSum per output chunk: every nonzero input
-        // block accumulates on QP, one final ModDown + RESCALE.
-        std::vector<exec::BsgsProgram> owned;
-        std::vector<const exec::BsgsProgram *> progs;
-        std::vector<const ckks::Ciphertext *> inputs;
-        owned.reserve(in_chunks);
-        for (std::size_t j = 0; j < in_chunks; ++j) {
+    // One BsgsSum per output chunk: every nonzero input block
+    // accumulates on QP, one final ModDown + RESCALE. The out-chunk
+    // branches are independent (the scheduler overlaps them).
+    auto chunk_vals = b.unpack(in);
+    std::vector<graph::ValueId> outs;
+    outs.reserve(blocks_.size());
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+        std::vector<const boot::LinearTransformPlan *> plans;
+        std::vector<graph::ValueId> terms;
+        for (std::size_t j = 0; j < blocks_[i].size(); ++j) {
             if (!blocks_[i][j])
                 continue;
-            owned.push_back(blocks_[i][j]->program(lc));
-            for (std::size_t s = 0; s < batch; ++s)
-                inputs.push_back(&in[s * in_chunks + j]);
+            plans.push_back(blocks_[i][j].get());
+            terms.push_back(chunk_vals[j]);
         }
-        for (const auto &p : owned)
-            progs.push_back(&p);
-        auto chunk = beval.dispatcher().applyBsgsSum(
-            progs.data(), inputs.data(), progs.size(), batch);
+        graph::ValueId v = b.bsgsSum(std::move(plans), terms);
         if (biases_[i])
-            chunk = beval.addPlain(chunk, *biases_[i]);
-        for (std::size_t s = 0; s < batch; ++s)
-            out[s * out_chunks + i] = std::move(chunk[s]);
+            v = b.addPlain(v, *biases_[i]);
+        outs.push_back(v);
     }
-    return out;
-}
-
-EvalOpCounts
-MatvecLayer::modeledOps() const
-{
-    requireCompiled();
-    EvalOpCounts total;
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-        EvalOpCounts chunk;
-        for (const auto &b : blocks_[i])
-            if (b)
-                chunk += b->modeledAccumOps();
-        chunk.hadd -= 1; // the first group initializes the accumulator
-        chunk.rescale += 1;
-        if (biases_[i])
-            chunk.hadd += 1;
-        total += chunk;
-    }
-    return total;
+    return b.pack(outs);
 }
 
 perf::KernelCost
@@ -493,6 +488,7 @@ TensorMeta
 AvgPool2d::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
 {
     requireArg(!compiled_, "layer compiled twice");
+    ctx_ = &ctx;
     std::size_t slots = ctx.slots();
     requireArg(isPowerOfTwo(window_) && window_ >= 2,
                "pool window must be a power of two >= 2");
@@ -549,15 +545,14 @@ AvgPool2d::requiredRotations() const
     return steps_;
 }
 
-Cts
-AvgPool2d::apply(const NnEngine &engine, const Cts &in) const
+graph::ValueId
+AvgPool2d::lower(graph::GraphBuilder &b, graph::ValueId in) const
 {
     requireCompiled();
-    const auto &beval = engine.batched();
-    Cts t = in;
-    for (s64 s : steps_)
-        t = beval.add(t, beval.rotate(t, s));
-    return beval.rescale(beval.multiplyPlain(t, *mask_));
+    graph::ValueId t = in;
+    for (s64 step : steps_)
+        t = b.add(t, b.rotate(t, step));
+    return b.rescale(b.mulPlain(t, *mask_));
 }
 
 std::vector<double>
@@ -584,21 +579,6 @@ AvgPool2d::applyPlain(const std::vector<double> &in) const
     return out;
 }
 
-EvalOpCounts
-AvgPool2d::modeledOps() const
-{
-    requireCompiled();
-    auto rounds = static_cast<double>(steps_.size());
-    EvalOpCounts c;
-    c.hrotate = rounds;
-    c.ksHoist = rounds;
-    c.ksTail = rounds;
-    c.hadd = rounds;
-    c.cmult = 1;
-    c.rescale = 1;
-    return c;
-}
-
 perf::KernelCost
 AvgPool2d::costAt(const perf::CostModel &model,
                   std::size_t input_lc) const
@@ -620,6 +600,7 @@ TensorMeta
 SumReduce::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
 {
     requireArg(!compiled_, "layer compiled twice");
+    ctx_ = &ctx;
     std::size_t slots = ctx.slots();
     requireArg(in.chunkCount == 1,
                "SumReduce requires a single-chunk input");
@@ -667,21 +648,19 @@ SumReduce::requiredRotations() const
     return steps_;
 }
 
-Cts
-SumReduce::apply(const NnEngine &engine, const Cts &in) const
+graph::ValueId
+SumReduce::lower(graph::GraphBuilder &b, graph::ValueId in) const
 {
     requireCompiled();
-    const auto &beval = engine.batched();
+    graph::ValueId acc = in;
     if (hoisted_) {
-        auto rots = beval.rotateManyBatch(in, steps_);
-        Cts acc = in;
-        for (auto &r : rots)
-            acc = beval.add(acc, r);
+        // One hoisted head shared by every step.
+        for (graph::ValueId r : b.rotateMany(in, steps_))
+            acc = b.add(acc, r);
         return acc;
     }
-    Cts acc = in;
-    for (s64 s : steps_)
-        acc = beval.add(acc, beval.rotate(acc, s));
+    for (s64 step : steps_)
+        acc = b.add(acc, b.rotate(acc, step));
     return acc;
 }
 
@@ -692,19 +671,6 @@ SumReduce::applyPlain(const std::vector<double> &in) const
     for (double v : in)
         acc += v;
     return {acc};
-}
-
-EvalOpCounts
-SumReduce::modeledOps() const
-{
-    requireCompiled();
-    auto r = static_cast<double>(steps_.size());
-    EvalOpCounts c;
-    c.hrotate = r;
-    c.ksTail = r;
-    c.ksHoist = hoisted_ ? 1 : r;
-    c.hadd = r;
-    return c;
 }
 
 perf::KernelCost
@@ -774,6 +740,7 @@ PolyActivation::compile(const ckks::CkksContext &ctx,
                         const TensorMeta &in)
 {
     requireArg(!compiled_, "layer compiled twice");
+    ctx_ = &ctx;
     requireArg(in.levelCount >= maxDepth_ + 2,
                name(), " needs ", maxDepth_ + 2,
                " level counts, input is at ", in.levelCount);
@@ -792,8 +759,8 @@ PolyActivation::levelCost() const
     return maxDepth_ + 1;
 }
 
-Cts
-PolyActivation::apply(const NnEngine &engine, const Cts &in) const
+graph::ValueId
+PolyActivation::lower(graph::GraphBuilder &b, graph::ValueId in) const
 {
     requireCompiled();
     // Exact-scale steering needs the full ladder depth plus the term
@@ -802,49 +769,39 @@ PolyActivation::apply(const NnEngine &engine, const Cts &in) const
     // wrong-scale ciphertext — fail loudly instead (the off-by-one
     // guard; compile() enforces the same bound on the compiled meta,
     // this catches callers running on a deeper-drained input).
-    requireArg(!in.empty(), name(), ": empty batch");
-    requireArg(in[0].levelCount() >= maxDepth_ + 2,
-               name(), ": input at level count ", in[0].levelCount(),
+    std::size_t in_lc = b.meta(in).levelCount;
+    requireArg(in_lc >= maxDepth_ + 2,
+               name(), ": input at level count ", in_lc,
                " cannot host the power ladder plus the exact-scale "
                "rescale (needs >= ",
                maxDepth_ + 2,
                "); the last rescale would drop below level 0");
-    const auto &beval = engine.batched();
-    double target = engine.ctx().params().scale();
+    double target = b.ctx().params().scale();
 
     // The monomial ladder at natural levels.
-    std::map<std::size_t, Cts> pows;
+    std::map<std::size_t, graph::ValueId> pows;
     pows.emplace(1, in);
     for (std::size_t k : powers_) {
-        const Cts &a = pows.at((k + 1) / 2);
-        const Cts &b = pows.at(k / 2);
+        graph::ValueId x = pows.at((k + 1) / 2);
+        graph::ValueId y = pows.at(k / 2);
         std::size_t lc =
-            std::min(a[0].levelCount(), b[0].levelCount());
-        pows.emplace(k, beval.rescale(beval.multiply(
-                            beval.dropToLevelCount(a, lc),
-                            beval.dropToLevelCount(b, lc))));
+            std::min(b.meta(x).levelCount, b.meta(y).levelCount);
+        pows.emplace(k, b.rescale(b.multiply(b.drop(x, lc),
+                                             b.drop(y, lc))));
     }
 
     // Steer every term to (min power level - 1, target scale).
-    std::size_t lmin = in[0].levelCount() - maxDepth_;
-    Cts acc;
+    std::size_t lmin = in_lc - maxDepth_;
+    graph::ValueId acc = 0;
     bool first = true;
     for (const auto &[k, c] : terms_) {
-        auto term = beval.multiplyConstToScale(
-            beval.dropToLevelCount(pows.at(k), lmin), c, target);
-        if (first) {
-            acc = std::move(term);
-            first = false;
-        } else {
-            acc = beval.add(acc, term);
-        }
+        graph::ValueId term =
+            b.mulConstToScale(b.drop(pows.at(k), lmin), c, target);
+        acc = first ? term : b.add(acc, term);
+        first = false;
     }
-    if (hasConstant_) {
-        auto pt = engine.ctx().encoder().encodeConstant(
-            ckks::Complex(approx_.coeffs[0], 0), acc[0].scale,
-            acc[0].levelCount());
-        acc = beval.addPlain(acc, pt);
-    }
+    if (hasConstant_)
+        acc = b.addConst(acc, approx_.coeffs[0]);
     return acc;
 }
 
@@ -855,24 +812,6 @@ PolyActivation::applyPlain(const std::vector<double> &in) const
     for (std::size_t i = 0; i < in.size(); ++i)
         out[i] = approx_.evalPlain(in[i]);
     return out;
-}
-
-EvalOpCounts
-PolyActivation::modeledOps() const
-{
-    requireCompiled();
-    auto np = static_cast<double>(powers_.size());
-    auto nt = static_cast<double>(terms_.size());
-    EvalOpCounts c;
-    c.hmult = np;
-    // Every HMULT relinearizes through one key-switch head + tail.
-    c.ksHoist = np;
-    c.ksTail = np;
-    c.cmult = nt;
-    c.rescale = np + nt;
-    c.hadd = nt - 1 + (hasConstant_ ? 1 : 0);
-    // Elementwise over every chunk: chunks ride the batch dimension.
-    return static_cast<double>(in_.chunkCount) * c;
 }
 
 perf::KernelCost
@@ -894,6 +833,7 @@ TensorMeta
 Bootstrap::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
 {
     requireArg(!compiled_, "layer compiled twice");
+    ctx_ = &ctx;
     requireArg(in.levelCount >= 2,
                name(), " needs an input at level count >= 2 (the "
                        "SlotToCoeff stage consumes one level), got ",
@@ -950,8 +890,15 @@ Bootstrap::requiredConjRotations() const
     return boot::Bootstrapper::requiredConjRotations(slots_);
 }
 
+graph::ValueId
+Bootstrap::lower(graph::GraphBuilder &b, graph::ValueId in) const
+{
+    requireCompiled();
+    return b.bootstrap(*this, in);
+}
+
 Cts
-Bootstrap::apply(const NnEngine &engine, const Cts &in) const
+Bootstrap::refresh(const NnEngine &engine, const Cts &in) const
 {
     requireCompiled();
     // Chunks are just more batch slots: the whole (sample x chunk)
@@ -998,7 +945,7 @@ Bootstrap::apply(const NnEngine &engine, const Cts &in) const
 }
 
 EvalOpCounts
-Bootstrap::modeledOps() const
+Bootstrap::refreshOps() const
 {
     requireCompiled();
     return static_cast<double>(liveChunkCount())
@@ -1036,8 +983,8 @@ LevelDrop::LevelDrop(std::size_t target_level_count)
 TensorMeta
 LevelDrop::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
 {
-    (void)ctx;
     requireArg(!compiled_, "layer compiled twice");
+    ctx_ = &ctx;
     requireArg(in.levelCount >= target_,
                name(), " cannot raise the level: input at ",
                in.levelCount, ", target ", target_);
@@ -1048,13 +995,11 @@ LevelDrop::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
     return out_;
 }
 
-Cts
-LevelDrop::apply(const NnEngine &engine, const Cts &in) const
+graph::ValueId
+LevelDrop::lower(graph::GraphBuilder &b, graph::ValueId in) const
 {
     requireCompiled();
-    if (target_ == in_.levelCount)
-        return in; // identity: nothing to truncate
-    return engine.batched().dropToLevelCount(in, target_);
+    return b.drop(in, target_); // identity at the target level
 }
 
 } // namespace tensorfhe::nn

@@ -4,19 +4,23 @@
  * library behind the functional counterparts of the paper's ResNet-20
  * and LSTM workloads (SV, Table X).
  *
- * Every layer has three synchronized faces:
+ * A layer writes its encrypted schedule once, in lower(): the calls
+ * it makes on a graph::GraphBuilder ARE the schedule. Everything
+ * else derives from that one description:
  *   - compile(): validates the incoming TensorMeta, builds plans
  *     (BSGS matrices, encoded masks, power ladders) and returns the
  *     outgoing meta — shape, layout, level count and exact scale —
  *     before anything encrypted runs;
- *   - apply(): the encrypted forward pass over a uniform batch,
- *     dispatched through batch::BatchedEvaluator so multiple inputs
- *     ride the (slot x tower) work-queue;
+ *   - apply(): lowers the layer and runs the graph through
+ *     graph::GraphExecutor over a uniform batch (nn::Sequential runs
+ *     the whole model's lowered graph the same way);
+ *   - modeledOps(): graph::modeledOps folded over the lowered nodes
+ *     — the exact executed-op counts, cross-checked against
+ *     EvalOpStats by the tests and the Table X bench;
  *   - applyPlain(): the plaintext reference with the same arithmetic
  *     (same polynomial activations), used for verification.
- * modeledOps() predicts the exact executed-operation counts of one
- * apply() sample, cross-checked against EvalOpStats by the tests and
- * the Table X bench.
+ * Bootstrap alone stays opaque: it lowers to one node whose payload
+ * is its batch refresh, and reports that refresh's ops itself.
  *
  * Matrix-shaped layers (Dense, Conv2d) lower to a single
  * boot::LinearTransformPlan BSGS matvec: ~2*sqrt(slots) key-switch
@@ -41,6 +45,12 @@
 #include "nn/activation.hh"
 #include "nn/tensor.hh"
 #include "perf/cost_model.hh"
+
+namespace tensorfhe::graph
+{
+class GraphBuilder;
+using ValueId = std::size_t;
+} // namespace tensorfhe::graph
 
 namespace tensorfhe::nn
 {
@@ -108,19 +118,31 @@ class Layer
     virtual std::size_t levelCost() const = 0;
 
     /**
-     * Encrypted forward over a uniform batch: `in` holds every
-     * sample's chunks, sample-major. Elementwise layers accept any
-     * chunk count; rotation-based layers require single-chunk metas
-     * (enforced at compile).
+     * Record the layer's schedule on `b` (valid after compile):
+     * consumes the value holding the input batch (flat,
+     * inputMeta().chunkCount chunks per sample) and returns the value
+     * holding the output batch. The layer must outlive the graph
+     * (nodes point into its plans and plaintexts).
      */
-    virtual Cts apply(const NnEngine &engine, const Cts &in) const = 0;
+    virtual graph::ValueId lower(graph::GraphBuilder &b,
+                                 graph::ValueId in) const = 0;
+
+    /**
+     * Encrypted forward over a uniform batch: `in` holds every
+     * sample's chunks, sample-major. Lowers this layer at the batch's
+     * actual level and scale and runs the graph. Elementwise layers
+     * accept any chunk count; rotation-based layers require
+     * single-chunk metas (enforced at compile).
+     */
+    Cts apply(const NnEngine &engine, const Cts &in) const;
 
     /** Plaintext reference on one sample's logical values. */
     virtual std::vector<double>
     applyPlain(const std::vector<double> &in) const = 0;
 
-    /** Predicted executed ops of one apply() sample. */
-    virtual EvalOpCounts modeledOps() const = 0;
+    /** Executed ops of one apply() sample at the compiled input
+        meta: graph::modeledOps over the lowered layer. */
+    EvalOpCounts modeledOps() const;
 
     /**
      * Smallest input level count compile() accepts — the planner's
@@ -166,6 +188,7 @@ class Layer
     /** Drop per-compile state ahead of a rebind (plans, masks). */
     virtual void resetPlans() {}
 
+    const ckks::CkksContext *ctx_ = nullptr; ///< set by compile()
     TensorMeta in_;
     TensorMeta out_;
     bool compiled_ = false;
@@ -193,8 +216,8 @@ class MatvecLayer : public Layer
     std::vector<s64> requiredRotations() const override;
     std::size_t levelCost() const override { return 1; }
     std::size_t minInputLevelCount() const override { return 2; }
-    Cts apply(const NnEngine &engine, const Cts &in) const override;
-    EvalOpCounts modeledOps() const override;
+    graph::ValueId lower(graph::GraphBuilder &b,
+                         graph::ValueId in) const override;
     perf::KernelCost costAt(const perf::CostModel &model,
                             std::size_t input_lc) const override;
     std::vector<bool>
@@ -217,15 +240,6 @@ class MatvecLayer : public Layer
     /** Block (out_chunk, in_chunk)'s plan; null for a zero block. */
     const boot::LinearTransformPlan *
     blockPlan(std::size_t out_chunk, std::size_t in_chunk) const;
-
-    /** Encoded bias of `out_chunk`; null when the chunk has no bias
-        (valid after compile; the graph lowering reads these). */
-    const ckks::Plaintext *
-    biasPlain(std::size_t out_chunk) const
-    {
-        requireCompiled();
-        return biases_[out_chunk] ? &*biases_[out_chunk] : nullptr;
-    }
 
   protected:
     /**
@@ -339,19 +353,12 @@ class AvgPool2d : public Layer
     std::vector<s64> requiredRotations() const override;
     std::size_t levelCost() const override { return 1; }
     std::size_t minInputLevelCount() const override { return 2; }
-    Cts apply(const NnEngine &engine, const Cts &in) const override;
+    graph::ValueId lower(graph::GraphBuilder &b,
+                         graph::ValueId in) const override;
     std::vector<double>
     applyPlain(const std::vector<double> &in) const override;
-    EvalOpCounts modeledOps() const override;
     perf::KernelCost costAt(const perf::CostModel &model,
                             std::size_t input_lc) const override;
-
-    /** Doubling-fold rotation steps, in apply() order (valid after
-        compile; the graph lowering replays them). */
-    const std::vector<s64> &poolSteps() const { return steps_; }
-
-    /** The 1/window^2 + layout mask plaintext (valid after compile). */
-    const ckks::Plaintext &poolMask() const { return *mask_; }
 
   private:
     std::size_t window_;
@@ -374,19 +381,15 @@ class SumReduce : public Layer
                        const TensorMeta &in) override;
     std::vector<s64> requiredRotations() const override;
     std::size_t levelCost() const override { return 0; }
-    Cts apply(const NnEngine &engine, const Cts &in) const override;
+    graph::ValueId lower(graph::GraphBuilder &b,
+                         graph::ValueId in) const override;
     std::vector<double>
     applyPlain(const std::vector<double> &in) const override;
-    EvalOpCounts modeledOps() const override;
     perf::KernelCost costAt(const perf::CostModel &model,
                             std::size_t input_lc) const override;
 
     /** Whether compile chose the hoisted schedule (for tests). */
     bool hoisted() const { return hoisted_; }
-
-    /** Fold steps in apply() order (hoisted: one rotateManyBatch of
-        all steps; else one rotate+add per step). */
-    const std::vector<s64> &foldSteps() const { return steps_; }
 
   private:
     bool hoisted_ = false;
@@ -414,34 +417,14 @@ class PolyActivation : public Layer
     {
         return maxDepth_ + 2;
     }
-    Cts apply(const NnEngine &engine, const Cts &in) const override;
+    graph::ValueId lower(graph::GraphBuilder &b,
+                         graph::ValueId in) const override;
     std::vector<double>
     applyPlain(const std::vector<double> &in) const override;
-    EvalOpCounts modeledOps() const override;
     perf::KernelCost costAt(const perf::CostModel &model,
                             std::size_t input_lc) const override;
 
     const PolyApprox &approx() const { return approx_; }
-
-    /** Ladder powers in build order (valid after compile; the graph
-        lowering replays apply()'s exact schedule from these). */
-    const std::vector<std::size_t> &powerLadder() const
-    {
-        return powers_;
-    }
-
-    /** Nonzero terms (power, coefficient), power >= 1, ascending. */
-    const std::vector<std::pair<std::size_t, double>> &
-    activeTerms() const
-    {
-        return terms_;
-    }
-
-    /** Depth of the deepest ladder power (== levelCost()). */
-    std::size_t ladderDepth() const { return maxDepth_; }
-
-    /** Whether apply() adds the constant coefficient at the end. */
-    bool hasConstantTerm() const { return hasConstant_; }
 
   private:
     PolyApprox approx_;
@@ -477,15 +460,23 @@ class Bootstrap : public Layer
     /** Consumes no budget — it restores it (see outputMeta). */
     std::size_t levelCost() const override { return 0; }
     std::size_t minInputLevelCount() const override { return 2; }
-    Cts apply(const NnEngine &engine, const Cts &in) const override;
+    /** One opaque graph node whose payload is refresh(). */
+    graph::ValueId lower(graph::GraphBuilder &b,
+                         graph::ValueId in) const override;
     std::vector<double>
     applyPlain(const std::vector<double> &in) const override
     {
         return in; // value-preserving (approximately)
     }
-    EvalOpCounts modeledOps() const override;
     perf::KernelCost costAt(const perf::CostModel &model,
                             std::size_t input_lc) const override;
+
+    /** The batch refresh the graph's Bootstrap node runs. */
+    Cts refresh(const NnEngine &engine, const Cts &in) const;
+
+    /** Executed ops of one refreshed sample (graph::modeledOps
+        defers to this for the Bootstrap node). */
+    EvalOpCounts refreshOps() const;
 
     /**
      * Lazy per-chunk refresh: only chunks marked live run the
@@ -526,13 +517,13 @@ class LevelDrop : public Layer
     TensorMeta compile(const ckks::CkksContext &ctx,
                        const TensorMeta &in) override;
     std::size_t levelCost() const override { return 0; }
-    Cts apply(const NnEngine &engine, const Cts &in) const override;
+    graph::ValueId lower(graph::GraphBuilder &b,
+                         graph::ValueId in) const override;
     std::vector<double>
     applyPlain(const std::vector<double> &in) const override
     {
         return in; // limb truncation never touches values
     }
-    EvalOpCounts modeledOps() const override { return {}; }
     perf::KernelCost costAt(const perf::CostModel &,
                             std::size_t) const override
     {

@@ -6,10 +6,17 @@
 #include "ckks/rotations.hh"
 #include "common/errors.hh"
 #include "common/logging.hh"
+#include "graph/builder.hh"
+#include "graph/executor.hh"
 #include "trace/trace.hh"
 
 namespace tensorfhe::nn
 {
+
+Sequential::Sequential() = default;
+Sequential::~Sequential() = default;
+Sequential::Sequential(Sequential &&) noexcept = default;
+Sequential &Sequential::operator=(Sequential &&) noexcept = default;
 
 void
 Sequential::add(std::unique_ptr<Layer> layer)
@@ -51,6 +58,7 @@ Sequential::compile(const ckks::CkksContext &ctx,
         input_ = input;
         output_ = res.output;
         compiled_ = true;
+        lowerStack(ctx);
         return output_;
     }
 
@@ -143,7 +151,17 @@ Sequential::compile(const ckks::CkksContext &ctx,
     input_ = input;
     output_ = meta;
     compiled_ = true;
+    lowerStack(ctx);
     return output_;
+}
+
+void
+Sequential::lowerStack(const ckks::CkksContext &ctx)
+{
+    graph_ = std::make_unique<graph::Graph>(
+        graph::compileSequential(ctx, *this));
+    exec_ = std::make_unique<graph::GraphExecutor>(
+        *graph_, graph::scheduleGraph(*graph_));
 }
 
 const plan::ExecutionPlan &
@@ -224,10 +242,9 @@ Sequential::run(const NnEngine &engine,
     for (const auto &t : batch)
         requireMetaMatch(t.meta(), input_, "input");
 
-    // Flatten to (sample x chunk) and ride the batched evaluator.
-    std::size_t chunks = input_.chunkCount;
+    // Flatten to (sample x chunk): the graph's input batch.
     Cts flat;
-    flat.reserve(batch.size() * chunks);
+    flat.reserve(batch.size() * input_.chunkCount);
     for (const auto &t : batch)
         for (const auto &ct : t.chunks())
             flat.push_back(ct);
@@ -235,47 +252,20 @@ Sequential::run(const NnEngine &engine,
     trace::TraceSpan runSpan("nn", "sequential-run");
     runSpan.arg("batch", static_cast<s64>(batch.size()))
         .arg("layers", static_cast<s64>(layers_.size()));
-
-    // Execution replays the immutable plan: one step per compiled
-    // layer, each checked against the step's recorded output meta.
-    for (const auto &st : plan_.steps()) {
-        const auto &l = *layers_[st.layerIndex];
-        trace::TraceSpan layerSpan("nn", st.name);
-        layerSpan.arg("chunks", static_cast<s64>(st.out.chunkCount))
-            .arg("level", static_cast<s64>(st.out.levelCount));
-        flat = l.apply(engine, flat);
-        const TensorMeta &m = st.out;
-        // Level/scale invariants after every step: the executed
-        // batch must land exactly where the plan predicted. Drift
-        // here is corruption of the evaluation itself, typed so
-        // callers can distinguish it from usage errors.
-        if (flat.size() != batch.size() * m.chunkCount)
-            throw IntegrityError(
-                "nn/sequential-run",
-                strCat(st.name, ": chunk count drifted"));
-        for (const auto &ct : flat) {
-            if (ct.levelCount() != m.levelCount)
-                throw IntegrityError(
-                    "nn/sequential-run",
-                    strCat(st.name, ": level count ",
-                           ct.levelCount(), " != compiled ",
-                           m.levelCount));
-            if (std::abs(ct.scale - m.scale) > 1e-6 * m.scale)
-                throw IntegrityError(
-                    "nn/sequential-run",
-                    strCat(st.name, ": scale ", ct.scale,
-                           " != compiled ", m.scale));
-        }
-    }
+    auto res = exec_->run(engine, {std::move(flat)});
+    flat = std::move(res.outputs[0]);
 
     std::size_t out_chunks = output_.chunkCount;
     std::vector<CipherTensor> out;
     out.reserve(batch.size());
     for (std::size_t s = 0; s < batch.size(); ++s) {
         std::vector<ckks::Ciphertext> cts(
-            flat.begin() + static_cast<std::ptrdiff_t>(s * out_chunks),
-            flat.begin()
-                + static_cast<std::ptrdiff_t>((s + 1) * out_chunks));
+            std::make_move_iterator(flat.begin()
+                                    + static_cast<std::ptrdiff_t>(
+                                        s * out_chunks)),
+            std::make_move_iterator(flat.begin()
+                                    + static_cast<std::ptrdiff_t>(
+                                        (s + 1) * out_chunks)));
         out.emplace_back(output_.shape, output_.layout,
                          std::move(cts));
     }
@@ -302,10 +292,7 @@ EvalOpCounts
 Sequential::modeledOps() const
 {
     requireState(compiled_, "model used before compile()");
-    EvalOpCounts total;
-    for (const auto &l : layers_)
-        total += l->modeledOps();
-    return total;
+    return graph::modeledOps(*graph_);
 }
 
 const TensorMeta &

@@ -4,8 +4,10 @@
  * against an input TensorMeta (propagating shape/layout/level/scale
  * and validating the whole multiplicative budget up front, before
  * any key is generated or ciphertext touched), surfaces the union
- * rotation-key requirement of every layer, and runs encrypted
- * batches through the BatchedEvaluator with per-layer meta checks.
+ * rotation-key requirement of every layer, lowers the compiled stack
+ * once into a fused, scheduled graph::Graph, and runs encrypted
+ * batches through graph::GraphExecutor, every node output checked
+ * against its compiled level and scale.
  */
 
 #ifndef TENSORFHE_NN_SEQUENTIAL_HH
@@ -16,13 +18,22 @@
 #include "nn/layers.hh"
 #include "plan/planner.hh"
 
+namespace tensorfhe::graph
+{
+struct Graph;
+class GraphExecutor;
+} // namespace tensorfhe::graph
+
 namespace tensorfhe::nn
 {
 
 class Sequential
 {
   public:
-    Sequential() = default;
+    Sequential();
+    ~Sequential();
+    Sequential(Sequential &&) noexcept;
+    Sequential &operator=(Sequential &&) noexcept;
 
     /** Append a layer (before compile). */
     void add(std::unique_ptr<Layer> layer);
@@ -66,7 +77,9 @@ class Sequential
     }
 
     /**
-     * Compile every layer against the propagated metas. Throws
+     * Compile every layer against the propagated metas, then lower
+     * the stack to one graph (graph::compileSequential) and schedule
+     * it with the default fused schedule. Throws
      * std::invalid_argument with the per-layer level ledger when the
      * input's multiplicative budget cannot cover the stack — the
      * whole-model validation happens here, up front.
@@ -93,10 +106,10 @@ class Sequential
     std::size_t bootstrapCount() const;
 
     /**
-     * Encrypted inference over a batch. Each sample must match the
-     * compiled input meta; every layer's output is checked against
-     * its compiled meta (level and scale invariants) before the next
-     * layer runs.
+     * Encrypted inference over a batch: flattens it sample-major and
+     * runs the compiled graph. Each sample must match the compiled
+     * input meta; every node output is checked against its compiled
+     * level and scale (drift raises IntegrityError).
      */
     std::vector<CipherTensor>
     run(const NnEngine &engine,
@@ -109,7 +122,8 @@ class Sequential
     /** Plaintext reference with the same layer arithmetic. */
     std::vector<double> runPlain(std::vector<double> values) const;
 
-    /** Predicted executed ops of one sample through every layer. */
+    /** Executed ops of one sample: graph::modeledOps over the
+        compiled graph. */
     EvalOpCounts modeledOps() const;
 
     const std::vector<std::unique_ptr<Layer>> &layers() const
@@ -129,6 +143,9 @@ class Sequential
     const plan::ExecutionPlan &executionPlan() const;
 
   private:
+    /** Lower the compiled stack and schedule it (end of compile). */
+    void lowerStack(const ckks::CkksContext &ctx);
+
     std::vector<std::unique_ptr<Layer>> layers_;
     TensorMeta input_;
     TensorMeta output_;
@@ -138,6 +155,9 @@ class Sequential
     boot::SineConfig sine_;
     plan::PlannerOptions plannerOpts_;
     plan::ExecutionPlan plan_;
+    /// Heap-held so the executor's graph pointer survives a move.
+    std::unique_ptr<graph::Graph> graph_;
+    std::unique_ptr<graph::GraphExecutor> exec_;
 };
 
 } // namespace tensorfhe::nn

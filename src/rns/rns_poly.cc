@@ -62,6 +62,22 @@ RnsPolynomial::truncateLimbs(std::size_t count)
     dropLastLimbs(numLimbs() - count);
 }
 
+RnsPolynomial
+RnsPolynomial::firstLimbs(std::size_t count) const
+{
+    TFHE_ASSERT(count <= numLimbs());
+    RnsPolynomial out;
+    out.tower_ = tower_;
+    out.limbIndices_.assign(limbIndices_.begin(),
+                            limbIndices_.begin()
+                                + static_cast<std::ptrdiff_t>(count));
+    out.data_.assign(data_.begin(),
+                     data_.begin()
+                         + static_cast<std::ptrdiff_t>(count * n()));
+    out.domain_ = domain_;
+    return out;
+}
+
 void
 RnsPolynomial::toEval(ntt::NttVariant v)
 {

@@ -81,6 +81,10 @@ class RnsPolynomial
     /** Keep only the first `count` limbs. */
     void truncateLimbs(std::size_t count);
 
+    /** Copy of the first `count` limbs, storage sized to exactly
+        those (the dropped limbs are neither copied nor kept). */
+    RnsPolynomial firstLimbs(std::size_t count) const;
+
     /** Release storage beyond the current limbs: one reallocation
         when an in-place rescale or a limb drop left spare capacity. */
     void shrinkToFit() { data_.shrink_to_fit(); }

@@ -102,6 +102,10 @@ EncryptedLstmCell::EncryptedLstmCell(const ckks::CkksContext &ctx,
     c_meta.scale = combScale_ * combScale_
         / static_cast<double>(ctx.tower().prime(combLevel_ - 1));
     tanhCell_.compile(ctx, c_meta);
+
+    stepGraph_ = buildStepGraph(ctx);
+    stepExec_ = std::make_unique<graph::GraphExecutor>(
+        stepGraph_, graph::scheduleGraph(stepGraph_));
 }
 
 std::vector<s64>
@@ -118,51 +122,13 @@ EncryptedLstmCell::step(const nn::NnEngine &engine,
                         const nn::CipherTensor &x,
                         const State &prev) const
 {
-    const auto &beval = engine.batched();
-
-    // z = W_x x + W_h h + b: two packed matvecs, one gate vector.
-    auto zx = wx_.apply(engine, x.chunks());
-    auto zh = wh_.apply(engine, prev.h.chunks());
-    auto z = beval.add(zx, zh);
-
-    // Both nonlinearities over the whole gate vector, then one
-    // masked combine selects sigmoid for i/f/o and tanh for g. The
-    // masks carry scale q_last, so the combine lands at exactly the
-    // context scale.
-    auto s = sig_.apply(engine, z);
-    auto t = tanhGate_.apply(engine, z);
-    auto comb = beval.rescale(
-        beval.add(beval.multiplyPlain(s, maskIfo_),
-                  beval.multiplyPlain(t, maskG_)));
-    for (auto &ct : comb)
-        ct.scale = combScale_; // exact by mask construction
-
-    // Align f, o, g onto [0, d) with one hoisted multi-rotation.
-    auto d = static_cast<s64>(cfg_.dim);
-    auto aligned = beval.rotateManyBatch(comb, {d, 2 * d, 3 * d});
-    const auto &i_gate = comb;
-    const auto &f_gate = aligned[0];
-    const auto &o_gate = aligned[1];
-    const auto &g_gate = aligned[2];
-
-    // c' = f (had) c + i (had) g.
-    auto c_prev =
-        beval.dropToLevelCount(prev.c.chunks(), comb[0].levelCount());
-    auto fc = beval.rescale(beval.multiply(f_gate, c_prev));
-    auto ig = beval.rescale(beval.multiply(i_gate, g_gate));
-    auto c_new = beval.add(fc, ig);
-
-    // h' = o (had) tanh(c').
-    auto tc = tanhCell_.apply(engine, c_new);
-    auto o_drop =
-        beval.dropToLevelCount(o_gate, tc[0].levelCount());
-    auto h_new = beval.rescale(beval.multiply(o_drop, tc));
-
+    auto res = stepExec_->run(
+        engine, {x.chunks(), prev.h.chunks(), prev.c.chunks()});
     State out;
     out.h = nn::CipherTensor(input_.shape, input_.layout,
-                             std::move(h_new));
+                             std::move(res.outputs[0]));
     out.c = nn::CipherTensor(input_.shape, input_.layout,
-                             std::move(c_new));
+                             std::move(res.outputs[1]));
     return out;
 }
 
@@ -176,28 +142,34 @@ EncryptedLstmCell::buildStepGraph(const ckks::CkksContext &ctx) const
 
     // z = W_x x + W_h h + b: two INDEPENDENT matvec branches the
     // scheduler can overlap.
-    auto zx = graph::lowerLayer(b, wx_, x);
-    auto zh = graph::lowerLayer(b, wh_, h);
+    auto zx = wx_.lower(b, x);
+    auto zh = wh_.lower(b, h);
     auto z = b.add(zx, zh);
 
-    auto s = graph::lowerLayer(b, sig_, z);
-    auto t = graph::lowerLayer(b, tanhGate_, z);
-    // The masked combine is a 3-op elementwise tree — the fusion
-    // pass folds it into one FusedEle span pass.
+    // Both nonlinearities over the whole gate vector, then one
+    // masked combine selects sigmoid for i/f/o and tanh for g. The
+    // masks carry scale q_last, so the combine lands at exactly the
+    // context scale; it is a 3-op elementwise tree the fusion pass
+    // folds into one FusedEle span pass.
+    auto s = sig_.lower(b, z);
+    auto t = tanhGate_.lower(b, z);
     auto comb = b.setScale(
         b.rescale(b.add(b.mulPlain(s, maskIfo_),
                         b.mulPlain(t, maskG_))),
         combScale_);
 
+    // Align f, o, g onto [0, d) with one hoisted multi-rotation.
     auto d = static_cast<s64>(cfg_.dim);
     auto aligned = b.rotateMany(comb, {d, 2 * d, 3 * d});
 
+    // c' = f (had) c + i (had) g.
     auto c_prev = b.drop(c, b.meta(comb).levelCount);
     auto fc = b.rescale(b.multiply(aligned[0], c_prev));
     auto ig = b.rescale(b.multiply(comb, aligned[2]));
     auto c_new = b.add(fc, ig);
 
-    auto tc = graph::lowerLayer(b, tanhCell_, c_new);
+    // h' = o (had) tanh(c').
+    auto tc = tanhCell_.lower(b, c_new);
     auto o_drop = b.drop(aligned[1], b.meta(tc).levelCount);
     auto h_new = b.rescale(b.multiply(o_drop, tc));
 
@@ -237,28 +209,7 @@ EncryptedLstmCell::stepPlain(const std::vector<double> &x,
 EvalOpCounts
 EncryptedLstmCell::modeledOps() const
 {
-    EvalOpCounts c = wx_.modeledOps();
-    c += wh_.modeledOps();
-    c.hadd += 1; // z = zx + zh
-    c += sig_.modeledOps();
-    c += tanhGate_.modeledOps();
-    // Combine: two masked CMULTs, one HADD, one RESCALE.
-    c.cmult += 2;
-    c.hadd += 1;
-    c.rescale += 1;
-    // Gate alignment: one hoisted head, three tails.
-    c.ksHoist += 1;
-    c.ksTail += 3;
-    c.hrotate += 3;
-    // c' and h': three Hadamard products (each relinearizing through
-    // one key-switch head + tail) + rescales, one add.
-    c += tanhCell_.modeledOps();
-    c.hmult += 3;
-    c.ksHoist += 3;
-    c.ksTail += 3;
-    c.rescale += 3;
-    c.hadd += 1;
-    return c;
+    return graph::modeledOps(stepGraph_);
 }
 
 } // namespace tensorfhe::workloads

@@ -20,12 +20,17 @@
  * stages; since every consumer is slot-local (Hadamard) or reads
  * only the logical slots (matvec columns, decryption), the junk
  * never reaches a logical value — no cleanup masks are spent on it.
+ *
+ * The step is written once, as buildStepGraph(). The cell keeps one
+ * fused, scheduled copy of that graph: step() runs it and
+ * modeledOps() folds it.
  */
 
 #ifndef TENSORFHE_WORKLOADS_LSTM_HH
 #define TENSORFHE_WORKLOADS_LSTM_HH
 
 #include "graph/builder.hh"
+#include "graph/executor.hh"
 #include "nn/layers.hh"
 #include "workloads/models.hh"
 
@@ -42,8 +47,13 @@ struct LstmConfig
 class EncryptedLstmCell
 {
   public:
-    /** Builds and compiles the gate layers; throws if over budget. */
+    /** Builds and compiles the gate layers and the step graph;
+        throws if over budget. */
     EncryptedLstmCell(const ckks::CkksContext &ctx, LstmConfig cfg = {});
+
+    /** The step graph points into the cell's layers and masks. */
+    EncryptedLstmCell(const EncryptedLstmCell &) = delete;
+    EncryptedLstmCell &operator=(const EncryptedLstmCell &) = delete;
 
     /**
      * The functional parameter set the default config runs at:
@@ -72,18 +82,18 @@ class EncryptedLstmCell
         std::vector<double> c;
     };
 
-    /** One encrypted cell step. */
+    /** One encrypted cell step (runs the step graph). x, h and c
+        must sit at the cell's input meta. */
     State step(const nn::NnEngine &engine, const nn::CipherTensor &x,
                const State &prev) const;
 
     /**
-     * AOT-compile one cell step into a kernel dataflow graph that
-     * replays step()'s exact schedule (bit-identical when executed).
-     * Inputs bind in order {x, h, c}, all at the cell's input meta
-     * (i.e. the first step from fresh encryptions); outputs are
-     * {h', c'}. The two gate matvecs and the masked combine are the
-     * graph's overlap/fusion showcases. The cell must outlive the
-     * graph.
+     * Record one cell step as a kernel dataflow graph — the only
+     * description of the step's schedule. Inputs bind in order
+     * {x, h, c}, all at the cell's input meta (i.e. the first step
+     * from fresh encryptions); outputs are {h', c'}. The two gate
+     * matvecs and the masked combine are the graph's overlap/fusion
+     * showcases. The cell must outlive the graph.
      */
     graph::Graph buildStepGraph(const ckks::CkksContext &ctx) const;
 
@@ -91,7 +101,8 @@ class EncryptedLstmCell
     PlainState stepPlain(const std::vector<double> &x,
                          const PlainState &prev) const;
 
-    /** Predicted executed ops of one step. */
+    /** Executed ops of one step: graph::modeledOps over the step
+        graph. */
     EvalOpCounts modeledOps() const;
     /** Same, in the op-count-model vocabulary. */
     OpCounts modeledCounts() const { return toOpCounts(modeledOps()); }
@@ -108,6 +119,8 @@ class EncryptedLstmCell
     ckks::Plaintext maskG_;   ///< 1 on [3d, 4d), scale q_last
     double combScale_ = 0;    ///< exact scale after the combine
     std::size_t combLevel_ = 0;
+    graph::Graph stepGraph_;   ///< fused and scheduled once
+    std::unique_ptr<graph::GraphExecutor> stepExec_;
 };
 
 } // namespace tensorfhe::workloads

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -231,6 +232,38 @@ TEST(CkksEvaluator, LevelMismatchRejected)
     EXPECT_THROW(fx().eval.add(a, b), std::invalid_argument);
     auto dropped = fx().eval.dropToLevelCount(a, 2);
     EXPECT_NO_THROW(fx().eval.add(dropped, b));
+}
+
+TEST(CkksEvaluator, DropToLevelCountCopiesOnlyTheKeptLimbs)
+{
+    auto z = fx().randomSlots(1.0, 20);
+    auto a = fx().encryptSlots(z, 3);
+    auto dropped = fx().eval.dropToLevelCount(a, 2);
+
+    // Bit-identical to copying every limb and then truncating.
+    auto ref = a;
+    ref.c0.truncateLimbs(2);
+    ref.c1.truncateLimbs(2);
+    ASSERT_EQ(dropped.levelCount(), 2u);
+    EXPECT_EQ(dropped.scale, ref.scale);
+    auto expectSame = [](const rns::RnsPolynomial &got,
+                         const rns::RnsPolynomial &want) {
+        EXPECT_EQ(got.limbIndices(), want.limbIndices());
+        EXPECT_EQ(got.domain(), want.domain());
+        for (std::size_t l = 0; l < want.numLimbs(); ++l)
+            EXPECT_TRUE(std::equal(got.limb(l), got.limb(l) + got.n(),
+                                   want.limb(l)))
+                << "limb " << l;
+    };
+    expectSame(dropped.c0, ref.c0);
+    expectSame(dropped.c1, ref.c1);
+
+    // Storage holds exactly the kept limbs; copy-then-truncate keeps
+    // the dropped limb's words as capacity.
+    std::size_t n = a.c0.n();
+    EXPECT_EQ(dropped.c0.takeStorage().capacity(), 2 * n);
+    EXPECT_EQ(dropped.c1.takeStorage().capacity(), 2 * n);
+    EXPECT_EQ(ref.c0.takeStorage().capacity(), 3 * n);
 }
 
 TEST(CkksEvaluator, MultiplyAtLevelZeroRejected)

@@ -246,13 +246,17 @@ TEST(ExecDispatch, KernelQueueReplaysOnPipelineModel)
     EXPECT_TRUE(saw_ntt);
     EXPECT_TRUE(saw_hada);
 
-    auto parts = gpu::simulateKernelQueue(queue, 1 << 10);
+    // The recorded queue replays as one back-to-back stream.
+    std::vector<gpu::ScheduledLaunch> serial;
+    for (const auto &launch : queue)
+        serial.push_back({launch, 0, {}});
+    auto parts = gpu::replayScheduledQueue(serial, 1 << 10).perLaunch;
     ASSERT_EQ(parts.size(), queue.size());
     auto total = gpu::sumBreakdowns(parts);
     EXPECT_GT(total.totalCycles, 0u);
     EXPECT_GT(total.issuedCycles, 0u);
     // Replay is deterministic.
-    auto again = gpu::simulateKernelQueue(queue, 1 << 10);
+    auto again = gpu::replayScheduledQueue(serial, 1 << 10).perLaunch;
     EXPECT_EQ(gpu::sumBreakdowns(again).totalCycles, total.totalCycles);
 }
 

@@ -247,7 +247,7 @@ TEST(ChaosCampaign, LstmGraphSurvivesSeededInjections)
 }
 
 // The deep CNN reaches the bootstrap sine stage (inside the spliced
-// LayerApply); a handful of trials covers both control kinds there.
+// Bootstrap node); a handful of trials covers both control kinds there.
 TEST(ChaosCampaign, BootstrapSineStageRecoversUnderInjection)
 {
     ckks::CkksContext ctx(

@@ -475,7 +475,7 @@ TEST(Resilience, CheckpointResumeBitIdenticalAcrossBootstrap)
     expectAllBitIdentical(res.outputs, ref);
     ASSERT_GE(log.size(), 2u);
     // Resume both from the earliest cut (re-executes the spliced
-    // bootstrap LayerApply) and from the last one.
+    // Bootstrap node) and from the last one.
     auto early = ex.resumeFrom(engine, log.front());
     expectAllBitIdentical(early.outputs, ref);
     auto late = ex.resumeFrom(engine, log.back());

@@ -1,12 +1,14 @@
 /**
  * @file
- * Graph-vs-eager equivalence on every workload in src/workloads: the
- * AOT-compiled kernel DAG must reproduce the eager evaluator's output
- * BIT-identically (raw residue limbs, not a tolerance), with the same
- * executed-op statistics, fewer kernel launches (fusion), and
+ * Fused-vs-unfused equivalence on every workload in src/workloads:
+ * Sequential::run and EncryptedLstmCell::step execute their lowered
+ * graphs with the default fused schedule, and must reproduce the
+ * unfused schedule of the same graph (one evaluator call per recorded
+ * op) BIT-identically (raw residue limbs, not a tolerance), with the
+ * same executed-op statistics, fewer kernel launches (fusion), and
  * steady-state workspace reuse from the first run (prestage). The
  * deep CNN covers the auto-bootstrap splice: the refresh stays an
- * opaque LayerApply node inside the graph.
+ * opaque Bootstrap node inside the graph.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,34 @@ namespace
 
 using workloads::EncryptedCnnClassifier;
 using workloads::EncryptedLstmCell;
+
+/** Per-kind EvalOpStats equality. */
+void
+expectSameOps(const EvalOpCounts &a, const EvalOpCounts &b)
+{
+    for (std::size_t k = 0; k < kNumEvalOpKinds; ++k) {
+        auto kind = static_cast<EvalOpKind>(k);
+        EXPECT_EQ(a.get(kind), b.get(kind)) << evalOpKindName(kind);
+    }
+}
+
+/** One run of `g` under the unfused schedule, with its op stats. */
+struct UnfusedRun
+{
+    std::vector<Cts> outputs;
+    EvalOpCounts ops;
+};
+
+UnfusedRun
+runUnfused(const nn::NnEngine &engine, Graph g, std::vector<Cts> inputs)
+{
+    GraphExecutor ex(g, scheduleGraph(g, {.fuse = false}));
+    EvalOpStats::instance().reset();
+    UnfusedRun r;
+    r.outputs = ex.run(engine, std::move(inputs)).outputs;
+    r.ops = EvalOpStats::instance().snapshot();
+    return r;
+}
 
 void
 expectBitIdentical(const Cts &a, const Cts &b)
@@ -96,46 +126,33 @@ flatten(const std::vector<nn::CipherTensor> &samples)
     return flat;
 }
 
-TEST(GraphCnn, CompiledGraphIsBitIdenticalToEagerRun)
+TEST(GraphCnn, RunIsBitIdenticalToUnfusedGraph)
 {
     auto &f = cfx();
     auto g = compileSequential(f.ctx, f.cnn.net());
     ASSERT_EQ(g.inputs.size(), 1u);
     ASSERT_EQ(g.outputs.size(), 1u);
-    auto sched = scheduleGraph(g);
 
     std::vector<nn::CipherTensor> batch{f.encryptImage(301),
                                         f.encryptImage(302)};
-    auto eager = f.cnn.net().run(f.engine, batch);
-    Cts eager_flat = flatten(eager);
-
-    GraphExecutor ex(g, sched);
-    auto res = ex.run(f.engine, {flatten(batch)});
-    ASSERT_EQ(res.outputs.size(), 1u);
-    expectBitIdentical(res.outputs[0], eager_flat);
+    auto fused = f.cnn.net().run(f.engine, batch);
+    auto ref = runUnfused(f.engine, std::move(g), {flatten(batch)});
+    ASSERT_EQ(ref.outputs.size(), 1u);
+    expectBitIdentical(flatten(fused), ref.outputs[0]);
 }
 
-TEST(GraphCnn, GraphRunMatchesEagerOpStats)
+TEST(GraphCnn, RunMatchesUnfusedOpStats)
 {
     auto &f = cfx();
-    auto g = compileSequential(f.ctx, f.cnn.net());
-    auto sched = scheduleGraph(g);
-
     std::vector<nn::CipherTensor> batch{f.encryptImage(311)};
 
     EvalOpStats::instance().reset();
     f.cnn.net().run(f.engine, batch);
-    auto eager = EvalOpStats::instance().snapshot();
+    auto fused = EvalOpStats::instance().snapshot();
 
-    EvalOpStats::instance().reset();
-    GraphExecutor(g, sched).run(f.engine, {flatten(batch)});
-    auto graph = EvalOpStats::instance().snapshot();
-
-    for (std::size_t k = 0; k < kNumEvalOpKinds; ++k) {
-        auto kind = static_cast<EvalOpKind>(k);
-        EXPECT_EQ(graph.get(kind), eager.get(kind))
-            << evalOpKindName(kind);
-    }
+    auto ref = runUnfused(f.engine, compileSequential(f.ctx, f.cnn.net()),
+                          {flatten(batch)});
+    expectSameOps(fused, ref.ops);
 }
 
 TEST(GraphCnn, PrestagedWorkspaceHitsSteadyStateReuseCold)
@@ -198,13 +215,14 @@ lfx()
     return f;
 }
 
-TEST(GraphLstm, StepGraphIsBitIdenticalToEagerStep)
+TEST(GraphLstm, StepIsBitIdenticalToUnfusedStepGraph)
 {
     auto &f = lfx();
     auto g = f.cell.buildStepGraph(f.ctx);
     ASSERT_EQ(g.inputs.size(), 3u);  // x, h, c
     ASSERT_EQ(g.outputs.size(), 2u); // h', c'
-    auto sched = scheduleGraph(g);
+    auto fused_g = f.cell.buildStepGraph(f.ctx);
+    auto sched = scheduleGraph(fused_g);
     // The masked combine (mask*s + mask*t) must have fused.
     EXPECT_GE(sched.fusedGroups, 1u);
     // The two gate matvecs are independent branches.
@@ -213,14 +231,13 @@ TEST(GraphLstm, StepGraphIsBitIdenticalToEagerStep)
     auto x = f.encryptState(71);
     EncryptedLstmCell::State prev{f.encryptState(72),
                                   f.encryptState(73)};
-    auto eager = f.cell.step(f.engine, x, prev);
+    auto step = f.cell.step(f.engine, x, prev);
 
-    GraphExecutor ex(g, sched);
-    auto res = ex.run(f.engine,
-                      {x.chunks(), prev.h.chunks(), prev.c.chunks()});
-    ASSERT_EQ(res.outputs.size(), 2u);
-    expectBitIdentical(res.outputs[0], eager.h.chunks());
-    expectBitIdentical(res.outputs[1], eager.c.chunks());
+    auto ref = runUnfused(f.engine, std::move(g),
+                          {x.chunks(), prev.h.chunks(), prev.c.chunks()});
+    ASSERT_EQ(ref.outputs.size(), 2u);
+    expectBitIdentical(step.h.chunks(), ref.outputs[0]);
+    expectBitIdentical(step.c.chunks(), ref.outputs[1]);
 }
 
 TEST(GraphLstm, FusionSavesLaunchesWithIdenticalBitsAndStats)
@@ -258,11 +275,7 @@ TEST(GraphLstm, FusionSavesLaunchesWithIdenticalBitsAndStats)
     // schedule's accounting.
     expectBitIdentical(fres.outputs[0], pres.outputs[0]);
     expectBitIdentical(fres.outputs[1], pres.outputs[1]);
-    for (std::size_t k = 0; k < kNumEvalOpKinds; ++k) {
-        auto kind = static_cast<EvalOpKind>(k);
-        EXPECT_EQ(fstats.get(kind), pstats.get(kind))
-            << evalOpKindName(kind);
-    }
+    expectSameOps(fstats, pstats);
     EXPECT_EQ(pres.launchCount - fres.launchCount,
               fused.launchesSaved());
 
@@ -275,7 +288,7 @@ TEST(GraphLstm, FusionSavesLaunchesWithIdenticalBitsAndStats)
 
 // ------------------------------------------------------------------
 // Deep CNN: two-chunk block matvecs and an auto-spliced bootstrap,
-// which must survive as an opaque LayerApply node.
+// which must survive as an opaque Bootstrap node.
 
 struct DeepGraphFixture
 {
@@ -318,32 +331,33 @@ dfx()
     return f;
 }
 
-TEST(GraphDeepCnn, BootstrapSpliceGraphIsBitIdenticalToEager)
+TEST(GraphDeepCnn, BootstrapSpliceRunIsBitIdenticalToUnfused)
 {
     auto &f = dfx();
     ASSERT_GE(f.cnn.net().bootstrapCount(), 1u);
     auto g = compileSequential(f.ctx, f.cnn.net());
 
     // The spliced refresh stays opaque: exactly bootstrapCount()
-    // LayerApply nodes, and the block matvecs unpack two chunks.
-    std::size_t layer_applies = 0;
+    // Bootstrap nodes, and the block matvecs unpack two chunks.
+    std::size_t bootstraps = 0;
     bool multi_chunk = false;
     for (const auto &n : g.nodes) {
-        if (n.kind == NodeKind::LayerApply)
-            ++layer_applies;
+        if (n.kind == NodeKind::Bootstrap)
+            ++bootstraps;
         if (n.kind == NodeKind::Unpack && n.outputs.size() == 2)
             multi_chunk = true;
     }
-    EXPECT_EQ(layer_applies, f.cnn.net().bootstrapCount());
+    EXPECT_EQ(bootstraps, f.cnn.net().bootstrapCount());
     EXPECT_TRUE(multi_chunk);
 
-    auto sched = scheduleGraph(g);
     std::vector<nn::CipherTensor> batch{f.encryptImage(701)};
-    auto eager = f.cnn.net().run(f.engine, batch);
-    auto res = GraphExecutor(g, sched).run(f.engine,
-                                           {flatten(batch)});
-    ASSERT_EQ(res.outputs.size(), 1u);
-    expectBitIdentical(res.outputs[0], flatten(eager));
+    EvalOpStats::instance().reset();
+    auto fused = f.cnn.net().run(f.engine, batch);
+    auto fused_ops = EvalOpStats::instance().snapshot();
+    auto ref = runUnfused(f.engine, std::move(g), {flatten(batch)});
+    ASSERT_EQ(ref.outputs.size(), 1u);
+    expectBitIdentical(flatten(fused), ref.outputs[0]);
+    expectSameOps(fused_ops, ref.ops);
 }
 
 } // namespace

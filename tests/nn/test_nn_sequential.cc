@@ -1,8 +1,8 @@
 /**
  * @file
  * Sequential model-runner tests: up-front budget validation, the
- * deduplicated union rotation-key set, per-layer level/scale
- * invariants at runtime, batched-vs-single bit identity, and
+ * deduplicated union rotation-key set, per-node level/scale
+ * invariants at runtime (drift raises IntegrityError), batched-vs-single bit identity, and
  * multi-chunk elementwise stacks.
  */
 
@@ -10,6 +10,8 @@
 
 #include <algorithm>
 
+#include "common/errors.hh"
+#include "fault/fault.hh"
 #include "nn/sequential.hh"
 
 namespace tensorfhe::nn
@@ -46,6 +48,16 @@ randomMatrix(std::size_t rows, std::size_t cols, double mag, u64 seed)
         for (auto &v : row)
             v = mag * (2 * rng.uniformReal() - 1);
     return w;
+}
+
+void
+expectPolyEq(const rns::RnsPolynomial &x, const rns::RnsPolynomial &y)
+{
+    ASSERT_EQ(x.numLimbs(), y.numLimbs());
+    for (std::size_t i = 0; i < x.numLimbs(); ++i)
+        for (std::size_t c = 0; c < x.n(); ++c)
+            ASSERT_EQ(x.limb(i)[c], y.limb(i)[c])
+                << "limb " << i << " coeff " << c;
 }
 
 TEST(Sequential, BudgetValidationFailsUpFront)
@@ -114,14 +126,6 @@ TEST(Sequential, BatchedRunIsBitIdenticalToSingleRuns)
                                       ctx.tower().numQ()));
     }
 
-    auto expectPolyEq = [](const rns::RnsPolynomial &x,
-                           const rns::RnsPolynomial &y) {
-        ASSERT_EQ(x.numLimbs(), y.numLimbs());
-        for (std::size_t i = 0; i < x.numLimbs(); ++i)
-            for (std::size_t c = 0; c < x.n(); ++c)
-                ASSERT_EQ(x.limb(i)[c], y.limb(i)[c])
-                    << "limb " << i << " coeff " << c;
-    };
     auto together = net.run(engine, batch);
     for (std::size_t s = 0; s < batch.size(); ++s) {
         auto alone = net.run(engine, batch[s]);
@@ -165,6 +169,31 @@ TEST(Sequential, SteadyStateRunsReuseTheWorkspaceArena)
     ASSERT_GT(s.allocs + s.reuses, 0u);
     EXPECT_GT(s.reuseRate(), 0.9)
         << "allocs " << s.allocs << " reuses " << s.reuses;
+}
+
+TEST(Sequential, CompiledGraphSurvivesAMove)
+{
+    // run() executes the graph compile() lowered, which points into
+    // the layers; moving the model must keep both valid.
+    ckks::CkksContext ctx(testParams(5));
+    Sequential net;
+    net.emplace<Dense>(randomMatrix(8, 8, 0.3, 11));
+    net.emplace<PolyActivation>(reluApprox(2));
+    net.compile(ctx, freshMeta(ctx, {{8}}));
+
+    Rng rng(12);
+    auto sk = ctx.generateSecretKey(rng);
+    auto keys = ctx.generateKeys(sk, rng, net.requiredRotations());
+    ckks::Encryptor enc(ctx, keys.pk);
+    nn::NnEngine engine(ctx, keys);
+    auto ct = encryptTensor(ctx, enc, rng, std::vector<double>(8, 0.25),
+                            {{8}}, ctx.tower().numQ());
+
+    auto before = net.run(engine, ct);
+    Sequential moved(std::move(net));
+    auto after = moved.run(engine, ct);
+    expectPolyEq(before.chunks()[0].c0, after.chunks()[0].c0);
+    expectPolyEq(before.chunks()[0].c1, after.chunks()[0].c1);
 }
 
 TEST(Sequential, ElementwiseStackHandlesMultiChunkTensors)
@@ -310,6 +339,52 @@ TEST(Sequential, RunRejectsMismatchedInputMeta)
     auto t = encryptTensor(ctx, enc, rng, {1, 2, 3, 4}, {{4}},
                            ctx.tower().numQ() - 1);
     EXPECT_THROW(net.run(engine, t), std::invalid_argument);
+}
+
+TEST(Sequential, RunRaisesIntegrityErrorOnMetaDrift)
+{
+    ckks::CkksContext ctx(testParams(4));
+    Sequential net;
+    net.emplace<Dense>(randomMatrix(4, 4, 0.2, 8), std::vector<double>{
+                           0.1, -0.1, 0.2, 0.0});
+    net.compile(ctx, freshMeta(ctx, {{4}}));
+
+    Rng rng(10);
+    auto sk = ctx.generateSecretKey(rng);
+    auto keys = ctx.generateKeys(sk, rng, net.requiredRotations());
+    ckks::Encryptor enc(ctx, keys.pk);
+    nn::NnEngine engine(ctx, keys);
+    auto t = encryptTensor(ctx, enc, rng, {1, 2, 3, 4}, {{4}},
+                           ctx.tower().numQ());
+
+    // A node output whose metadata drifts from its compiled ValueMeta
+    // (the injected fault nudges the scale or shears a limb, by seed)
+    // must raise IntegrityError with paranoid mode off — run()'s
+    // default. Seeds cover both drift kinds.
+    bool saw_level = false, saw_scale = false;
+    for (u64 seed = 1; seed <= 8; ++seed) {
+        fault::FaultPlan::instance().arm(
+            {"graph/node-output", fault::FaultKind::MetaCorrupt, 0,
+             seed});
+        try {
+            (void)net.run(engine, t);
+            ADD_FAILURE() << "drift went undetected, seed " << seed;
+        } catch (const IntegrityError &e) {
+            EXPECT_EQ(e.site(), "graph/node-output");
+            std::string what = e.what();
+            saw_level = saw_level
+                || what.find("level count") != std::string::npos;
+            saw_scale = saw_scale
+                || what.find("scale") != std::string::npos;
+        }
+        EXPECT_TRUE(fault::FaultPlan::instance().fired());
+        fault::FaultPlan::instance().disarm();
+    }
+    EXPECT_TRUE(saw_level);
+    EXPECT_TRUE(saw_scale);
+
+    // The model stays usable after the failed runs.
+    EXPECT_NO_THROW((void)net.run(engine, t));
 }
 
 } // namespace

@@ -3,8 +3,8 @@
  * Global execution planner tests: the planned schedule never costs
  * more than the greedy splice baseline (and strictly beats it when a
  * drop is available), the rebuilt stack runs correctly end to end
- * with executed ops exactly matching the plan's model, graph and
- * eager execution of a planner-built net stay bit-identical, the
+ * with executed ops exactly matching the plan's model, the fused run
+ * of a planner-built net is bit-identical to its unfused graph, the
  * plan.* metrics are populated, and infeasibility errors name the
  * first infeasible layer next to the best plan found.
  */
@@ -183,17 +183,18 @@ TEST(Planner, PlannedNetRunsCorrectlyWithExactOpAccounting)
     }
     EvalOpStats::instance().reset();
 
-    // Graph lowering of the planner-built stack (LevelDrop becomes a
-    // Drop node, Bootstrap stays opaque) is bit-identical to eager.
+    // The planner-built stack's lowering (LevelDrop becomes a Drop
+    // node, Bootstrap stays opaque) runs fused in net.run(); the
+    // unfused schedule of the same graph is bit-identical.
     auto g = graph::compileSequential(ctx, net);
-    auto sched = graph::scheduleGraph(g);
-    auto eager = net.run(engine, t);
+    auto sched = graph::scheduleGraph(g, {.fuse = false});
+    auto fused = net.run(engine, t);
     auto res = graph::GraphExecutor(g, sched).run(
         engine, {std::vector<ckks::Ciphertext>(
                     t.chunks().begin(), t.chunks().end())});
     ASSERT_EQ(res.outputs.size(), 1u);
     const auto &gout = res.outputs[0];
-    const auto &echunks = eager.chunks();
+    const auto &echunks = fused.chunks();
     ASSERT_EQ(gout.size(), echunks.size());
     for (std::size_t c = 0; c < gout.size(); ++c) {
         ASSERT_EQ(gout[c].levelCount(), echunks[c].levelCount());
